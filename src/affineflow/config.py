@@ -50,8 +50,6 @@ class SimBlock:
 
     n_paths: int = 20_000
     seed: int | None = None
-    grid_step: float = 1e-3
-    antithetic: bool = False
 
 
 @dataclass(frozen=True)
@@ -61,7 +59,6 @@ class Thresholds:
     flow: float = 1e-8
     ode: float = 1e-10
     stat_sigma: float = 3.0
-    beta: float = 1e-6
 
     def tolerances(self) -> Tolerances:
         return Tolerances(ode_rel=self.ode, ode_abs=self.ode * 1e-2)
@@ -200,10 +197,7 @@ def _one_scalar(items, line, col, path, kinds, what):
     if len(items) != 1 or items[0][0] != "scalar":
         raise ConfigError(f"expected a single {what}", line, col, path)
     v = items[0][1]
-    kind_tuple = kinds if isinstance(kinds, tuple) else (kinds,)
-    if isinstance(v, bool) and bool not in kind_tuple:
-        raise ConfigError(f"expected {what}, got {v!r}", line, col, path)
-    if not isinstance(v, kind_tuple):
+    if isinstance(v, bool) or not isinstance(v, kinds):
         raise ConfigError(f"expected {what}, got {v!r}", line, col, path)
     return v
 
@@ -215,10 +209,6 @@ def _real(items, line, col, path):
 
 def _integer(items, line, col, path):
     return int(_one_scalar(items, line, col, path, int, "an integer"))
-
-
-def _boolean(items, line, col, path):
-    return bool(_one_scalar(items, line, col, path, bool, "a boolean (true/false)"))
 
 
 def _word(items, line, col, path):
@@ -278,12 +268,9 @@ _KEYS = {
     "grid.x0": ("x0", _real_list),
     "sim.paths": ("sim.n_paths", _integer),
     "sim.seed": ("sim.seed", _integer),
-    "sim.grid_step": ("sim.grid_step", _real),
-    "sim.antithetic": ("sim.antithetic", _boolean),
     "tol.flow": ("thresholds.flow", _real),
     "tol.ode": ("thresholds.ode", _real),
     "tol.stat_sigma": ("thresholds.stat_sigma", _real),
-    "tol.beta": ("thresholds.beta", _real),
     "frame.t": ("frame.t", _real),
     "frame.n_schedule": ("frame.n_schedule", _int_list),
     "frame.q_tol": ("frame.q_tol", _real),
@@ -292,8 +279,8 @@ _KEYS = {
     "out.dir": ("out_dir", _word),
 }
 
-_POSITIVE = {"sim.grid_step", "tol.flow", "tol.ode", "tol.stat_sigma", "tol.beta",
-             "frame.t", "frame.q_tol", "frame.internal_dt"}
+_POSITIVE = {"tol.flow", "tol.ode", "tol.stat_sigma", "frame.t", "frame.q_tol",
+             "frame.internal_dt"}
 
 _MODEL_PARAM_NAME = re.compile(r"^[a-z_][a-z0-9_]*$")
 

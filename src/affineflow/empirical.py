@@ -10,27 +10,25 @@ threshold.
 
 from __future__ import annotations
 
-import csv
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dims, exp_functional
+from .core import Dims, as_state
 from .flow import FlowEvaluation
-from .models import AffineModel, state_source
+from .models import AffineModel, sample_grid
 from .verify import CheckReport, _top_witnesses
 
 __all__ = [
     "EcfEstimate",
     "BranchContinuityError",
-    "ecf",
     "ecf_from_states",
     "endpoint_states",
     "affine_factorization_test",
     "recover_phi_psi",
     "semihomogeneity_test",
-    "write_ecf_csv",
 ]
 
 STAT_SIGMA = 3.0
@@ -83,30 +81,20 @@ def ecf_from_states(states: np.ndarray, u, t: float = 0.0) -> EcfEstimate:
     return EcfEstimate(float(t), u_arr, mean, stderr, n)
 
 
-def ecf(paths, t: float, u) -> EcfEstimate:
-    """Empirical transform at time t from recorded paths (cadlag lookup)."""
-    states = np.stack([p.value_at(t) for p in paths])
-    return ecf_from_states(states, u, t)
-
-
-def endpoint_states(model: AffineModel, x0, t: float, n_paths: int, seed: int,
-                    antithetic: bool = False, chunk_size: int = 4096) -> np.ndarray:
+def endpoint_states(model: AffineModel, x0, t: float, n_paths: int, seed: int) -> np.ndarray:
     """States at a single horizon, shape (n_paths, d); t=0 is the start replicated."""
-    from .core import as_state
-    from .models import sample_grid
-
     if t < 0:
         raise ValueError("the horizon must be nonnegative")
     if t == 0:
         return np.tile(as_state(x0, model.dims), (n_paths, 1))
-    values = sample_grid(model, x0, np.array([0.0, float(t)]), n_paths, seed,
-                         antithetic=antithetic, chunk_size=chunk_size)
+    values = sample_grid(model, x0, np.array([0.0, float(t)]), n_paths, seed)
     return values[:, -1, :]
 
 
 def _as_state_source(source):
+    """A model or a state source as a ``(x0, record_times, n_paths, seed) -> values`` callable."""
     if isinstance(source, AffineModel):
-        return state_source(source)
+        return functools.partial(sample_grid, source)
     if callable(source):
         return source
     raise TypeError(f"cannot interpret {source!r} as a model or state source")
@@ -169,8 +157,7 @@ def affine_factorization_test(source, dims: Dims, t: float, u_list, x_base, x_pr
 
 
 def recover_phi_psi(source, dims: Dims, t_grid, u, n_paths: int, seed: int,
-                    probe_scale: float = 1.0, chunk_size: int = 4096,
-                    ) -> list[FlowEvaluation]:
+                    probe_scale: float = 1.0) -> list[FlowEvaluation]:
     """Recover the transform pair on a time grid from simulated samples.
 
     Starts paths at the origin and at ``probe_scale`` times each coordinate
@@ -275,20 +262,3 @@ def semihomogeneity_test(source, dims: Dims, t: float, u, n_paths: int, seed: in
         _top_witnesses(entries),
     )
 
-
-def write_ecf_csv(estimates, file_path) -> None:
-    """Write transform estimates as ``t, re_u*, im_u*, re_g, im_g, stderr, n`` rows."""
-    estimates = list(estimates)
-    if not estimates:
-        raise ValueError("nothing to write")
-    d = estimates[0].u.size
-    header = (["t"] + [f"re_u{i+1}" for i in range(d)] + [f"im_u{i+1}" for i in range(d)]
-              + ["re_g", "im_g", "stderr", "n"])
-    with open(file_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for est in estimates:
-            row = ([repr(float(est.t))]
-                   + [repr(float(v)) for v in est.u.real] + [repr(float(v)) for v in est.u.imag]
-                   + [repr(est.value.real), repr(est.value.imag), repr(est.stderr), str(est.n)])
-            writer.writerow(row)

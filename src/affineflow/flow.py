@@ -209,6 +209,37 @@ def _make_guard(dims: Dims, tol: Tolerances):
     return guard
 
 
+def _exited(t: float, u_arr: np.ndarray, dims: Dims) -> FlowEvaluation:
+    nan_psi = np.full(dims.d, np.nan + 0j)
+    return FlowEvaluation(t, u_arr, np.nan + 0j, nan_psi, np.nan + 0j, in_Q=False)
+
+
+def _flow_column(gen, dims: Dims, u_arr: np.ndarray, times: list, tol: Tolerances):
+    """Integrate one argument through the ascending, nonnegative ``times``.
+
+    Returns one evaluation per time plus the integrator's halt (``None``, or
+    ``(s, reason)`` after a domain exit); times the integration did not reach
+    get NaN evaluations with ``in_Q=False``.
+    """
+    checkpoints = [t for t in times if t > 0]
+    records, halt = {}, None
+    if checkpoints:
+        y0 = np.concatenate([u_arr, [0j]])
+        records, halt = _dp45(_make_rhs(gen, dims), y0, checkpoints, tol.ode_rel, tol.ode_abs,
+                              _make_guard(dims, tol))
+    evals = []
+    for t in times:
+        if t == 0:
+            evals.append(FlowEvaluation(0.0, u_arr, 1 + 0j, u_arr.copy(), 0j))
+        elif t in records:
+            y = records[t]
+            log_phi = complex(y[dims.d])
+            evals.append(FlowEvaluation(t, u_arr, complex(np.exp(log_phi)), y[: dims.d], log_phi))
+        else:
+            evals.append(_exited(t, u_arr, dims))
+    return evals, halt
+
+
 def ode_flow(gen, dims: Dims, t: float, u, tol: Tolerances = Tolerances()) -> FlowEvaluation:
     """Evaluate the transform pair at a single (t, u) by Riccati integration.
 
@@ -221,20 +252,8 @@ def ode_flow(gen, dims: Dims, t: float, u, tol: Tolerances = Tolerances()) -> Fl
         raise ValueError("flow time must be nonnegative")
     if classify_region(u_arr, dims, tol) is Region.OUTSIDE:
         raise ValueError(f"transform argument {u_arr} lies outside the admissible half-space")
-    if t == 0:
-        return FlowEvaluation(0.0, u_arr, 1 + 0j, u_arr.copy(), 0j)
-
-    y0 = np.concatenate([u_arr, [0j]])
-    records, halt = _dp45(
-        _make_rhs(gen, dims), y0, [float(t)], tol.ode_rel, tol.ode_abs, _make_guard(dims, tol)
-    )
-    if halt is not None:
-        s_exit, _reason = halt
-        nan_psi = np.full(dims.d, np.nan + 0j)
-        return FlowEvaluation(float(s_exit), u_arr, np.nan + 0j, nan_psi, np.nan + 0j, in_Q=False)
-    y = records[float(t)]
-    log_phi = complex(y[dims.d])
-    return FlowEvaluation(float(t), u_arr, complex(np.exp(log_phi)), y[: dims.d], log_phi)
+    (ev,), halt = _flow_column(gen, dims, u_arr, [float(t)], tol)
+    return ev if halt is None else _exited(float(halt[0]), u_arr, dims)
 
 
 @dataclass
@@ -272,33 +291,17 @@ def flow_on_grid(gen, dims: Dims, t_grid, u_grid, tol: Tolerances = Tolerances()
 
     rows = [[None] * len(points) for _ in ts]
     errors: list[tuple[int, int, str]] = []
-    rhs = _make_rhs(gen, dims)
-    guard = _make_guard(dims, tol)
+    times = [float(t) for t in ts]
     for j, u_arr in enumerate(points):
         if classify_region(u_arr, dims, tol) is Region.OUTSIDE:
             raise ValueError(f"u_grid[{j}] lies outside the admissible half-space")
         try:
-            checkpoints = [float(t) for t in ts if t > 0]
-            y0 = np.concatenate([u_arr, [0j]])
-            records, halt = _dp45(rhs, y0, checkpoints, tol.ode_rel, tol.ode_abs, guard) if checkpoints else ({}, None)
-            for i, t in enumerate(ts):
-                if t == 0:
-                    rows[i][j] = FlowEvaluation(0.0, u_arr, 1 + 0j, u_arr.copy(), 0j)
-                elif float(t) in records:
-                    y = records[float(t)]
-                    log_phi = complex(y[dims.d])
-                    rows[i][j] = FlowEvaluation(
-                        float(t), u_arr, complex(np.exp(log_phi)), y[: dims.d], log_phi
-                    )
-                else:
-                    nan_psi = np.full(dims.d, np.nan + 0j)
-                    rows[i][j] = FlowEvaluation(
-                        float(t), u_arr, np.nan + 0j, nan_psi, np.nan + 0j, in_Q=False
-                    )
+            column, _halt = _flow_column(gen, dims, u_arr, times, tol)
         except FlowIntegrationError as exc:
-            for i, t in enumerate(ts):
-                if rows[i][j] is None:
-                    errors.append((i, j, str(exc)))
+            errors.extend((i, j, str(exc)) for i in range(len(times)))
+            continue
+        for i, ev in enumerate(column):
+            rows[i][j] = ev
     return FlowGrid(ts, points, rows, errors)
 
 

@@ -2,9 +2,10 @@
 
 Three affine families cover the state-space shapes (pure free part, pure cone,
 mixed), plus a deliberately non-affine control process used to falsify the
-statistical checks.  Samplers draw from one RNG stream per path, derived by
-seed-sequence spawning from ``(seed, path_index)``, so results are bit-for-bit
-reproducible and independent of how paths are batched.
+statistical checks.  ``sample_grid`` is the one way to draw paths: path p
+draws from its own RNG stream, derived by seed-sequence spawning from
+``(seed, p)``, and the sampler runs on blocks of ``CHUNK_PATHS`` paths, so
+results are bit-for-bit reproducible and independent of how paths are batched.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ __all__ = [
     "MODEL_FACTORIES",
     "simulate",
     "sample_grid",
-    "state_source",
+    "CHUNK_PATHS",
     "uniform_times",
     "write_paths_csv",
     "read_paths_csv",
@@ -123,13 +124,11 @@ class AffineModel:
 class GaussianIncrementSampler:
     """Exact transitions for the homogeneous Gaussian model (pure free part)."""
 
-    supports_antithetic = True
-
     def __init__(self, drift: np.ndarray, scale: np.ndarray):
         self.drift = drift
         self.scale = scale  # matrix square root of the covariance
 
-    def sample_chunk(self, x0, times, rngs, signs=None):
+    def sample_chunk(self, x0, times, rngs):
         dts = np.diff(times)
         sqdt = np.sqrt(dts)
         d = len(x0)
@@ -137,8 +136,6 @@ class GaussianIncrementSampler:
         out[:, 0] = x0
         for p, rng in enumerate(rngs):
             xi = rng.standard_normal((len(dts), d))
-            if signs is not None:
-                xi *= signs[p]
             incr = dts[:, None] * self.drift + (xi @ self.scale.T) * sqdt[:, None]
             out[p, 1:] = x0 + np.cumsum(incr, axis=0)
         return out
@@ -153,14 +150,12 @@ class CirExactSampler:
     absorbing a=0 case is exact as well.
     """
 
-    supports_antithetic = False
-
     def __init__(self, a: float, b: float, sigma: float):
         self.a = a
         self.b = b
         self.sigma = sigma
 
-    def sample_chunk(self, x0, times, rngs, signs=None):
+    def sample_chunk(self, x0, times, rngs):
         dts = np.diff(times)
         ebd = np.exp(-self.b * dts)
         # E(dt) = (1 - e^{-b dt})/b, continuous at b=0
@@ -192,8 +187,6 @@ class HestonEulerSampler:
     are clamped onto the state space.
     """
 
-    supports_antithetic = True
-
     def __init__(self, a, b, sigma, rho, lam, max_dt=1e-3):
         self.a = a
         self.b = b
@@ -208,16 +201,13 @@ class HestonEulerSampler:
         counts = np.maximum(1, np.ceil(dts / self.max_dt - 1e-12).astype(int))
         return dts, counts
 
-    def sample_chunk(self, x0, times, rngs, signs=None):
+    def sample_chunk(self, x0, times, rngs):
         dts, counts = self._substep_plan(times)
         total = int(np.sum(counts))
         c = len(rngs)
         noise = np.empty((c, total, 2))
         for p, rng in enumerate(rngs):
-            xi = rng.standard_normal((total, 2))
-            if signs is not None:
-                xi *= signs[p]
-            noise[p] = xi
+            noise[p] = rng.standard_normal((total, 2))
 
         out = np.empty((c, len(times), 2))
         out[:, 0, 0] = x0[0]
@@ -249,19 +239,14 @@ class SquaredStartBrownianSampler:
     from one Brownian motion so the square map is applied exactly once.
     """
 
-    supports_antithetic = True
-
-    def sample_chunk(self, x0, times, rngs, signs=None):
+    def sample_chunk(self, x0, times, rngs):
         dts = np.diff(times)
         sqdt = np.sqrt(dts)
         out = np.empty((len(rngs), len(times), 1))
         out[:, 0, 0] = x0[0]
         base = x0[0] ** 2
         for p, rng in enumerate(rngs):
-            xi = rng.standard_normal(len(dts))
-            if signs is not None:
-                xi *= signs[p]
-            out[p, 1:, 0] = base + np.cumsum(xi * sqdt)
+            out[p, 1:, 0] = base + np.cumsum(rng.standard_normal(len(dts)) * sqdt)
         return out
 
 
@@ -493,6 +478,11 @@ def uniform_times(horizon: float, grid_step: float) -> np.ndarray:
     return np.arange(n_steps + 1) * grid_step
 
 
+# Paths per sampler call in ``sample_grid`` and per transform block in
+# ``movingframe.transformed_state_source``; it bounds their working arrays.
+CHUNK_PATHS = 4096
+
+
 def _path_stream(seed, index: int) -> np.random.SeedSequence:
     """The ``index``-th spawned child of ``seed``, built without spawning predecessors.
 
@@ -506,17 +496,13 @@ def _path_stream(seed, index: int) -> np.random.SeedSequence:
 
 
 def sample_grid(model: AffineModel, x0, record_times, n_paths: int, seed,
-                antithetic: bool = False, chunk_size: int = 4096,
-                path_offset: int = 0, total_paths: int | None = None) -> np.ndarray:
+                path_offset: int = 0) -> np.ndarray:
     """Sample path values on ``record_times`` for ``n_paths`` paths.
 
-    Returns an array of shape (n_paths, len(record_times), d).  Path p always
-    consumes stream p regardless of chunking, so chunk size never changes the
-    result; with ``antithetic`` paths 2k and 2k+1 share stream k with negated
-    Gaussian draws (only meaningful for normal-driven samplers).  The
-    ``path_offset``/``total_paths`` pair asks for a window of a larger run:
-    the result equals rows [offset, offset+n) of the full ``total_paths``
-    array bit for bit, so callers can stream big ensembles in slices.
+    Returns an array of shape (n_paths, len(record_times), d).  Row p is path
+    ``path_offset + p`` and consumes that path's stream alone, so the result
+    equals rows [offset, offset+n) of a run from offset 0 bit for bit, and
+    neither ``CHUNK_PATHS`` nor slicing a big ensemble changes any value.
     """
     times = np.asarray(record_times, dtype=float)
     if times.ndim != 1 or len(times) < 2 or times[0] != 0.0 or np.any(np.diff(times) <= 0):
@@ -524,43 +510,23 @@ def sample_grid(model: AffineModel, x0, record_times, n_paths: int, seed,
     x0_arr = as_state(x0, model.dims)
     if n_paths < 1:
         raise ValueError("need at least one path")
-    if antithetic and not getattr(model.sampler, "supports_antithetic", False):
-        raise ValueError(f"sampler of model {model.name!r} does not support antithetic pairing")
-    total = n_paths + path_offset if total_paths is None else int(total_paths)
-    if path_offset < 0 or path_offset + n_paths > total:
-        raise ValueError(f"window [{path_offset}, {path_offset + n_paths}) exceeds {total} paths")
-
-    if antithetic:
-        stream_idx = [(path_offset + p) // 2 for p in range(n_paths)]
-        sign_of = np.array([1.0 if (path_offset + p) % 2 == 0 else -1.0 for p in range(n_paths)])
-    else:
-        stream_idx = [path_offset + p for p in range(n_paths)]
-        sign_of = None
+    if path_offset < 0:
+        raise ValueError("path_offset must be nonnegative")
 
     out = np.empty((n_paths, len(times), model.dims.d))
-    for lo in range(0, n_paths, chunk_size):
-        hi = min(lo + chunk_size, n_paths)
-        rngs = [np.random.default_rng(_path_stream(seed, stream_idx[p])) for p in range(lo, hi)]
-        signs = sign_of[lo:hi] if sign_of is not None else None
-        out[lo:hi] = model.sampler.sample_chunk(x0_arr, times, rngs, signs)
+    for lo in range(0, n_paths, CHUNK_PATHS):
+        hi = min(lo + CHUNK_PATHS, n_paths)
+        rngs = [np.random.default_rng(_path_stream(seed, path_offset + p)) for p in range(lo, hi)]
+        out[lo:hi] = model.sampler.sample_chunk(x0_arr, times, rngs)
     return out
 
 
 def simulate(model: AffineModel, x0, horizon: float, grid_step: float, n_paths: int,
-             seed, antithetic: bool = False) -> list[Path]:
+             seed) -> list[Path]:
     """Simulate paths on a uniform grid, materialized as Path objects."""
     times = uniform_times(horizon, grid_step)
-    values = sample_grid(model, x0, times, n_paths, seed, antithetic=antithetic)
+    values = sample_grid(model, x0, times, n_paths, seed)
     return [Path(times, values[p], model.dims) for p in range(n_paths)]
-
-
-def state_source(model: AffineModel):
-    """Adapter: (x0, record_times, n_paths, seed) -> value array for a model."""
-
-    def source(x0, record_times, n_paths, seed):
-        return sample_grid(model, x0, record_times, n_paths, seed)
-
-    return source
 
 
 # ----------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import models
 from .core import Dims, Region, Tolerances, as_point, classify_region
 from .flow import FlowIntegrationError, as_flow_source, flow_source_for, matrix_exp
 from .models import AffineModel, RealPath, sample_grid, uniform_times
@@ -255,14 +256,17 @@ def pq_extrapolate(flow_source, frame: FrameMatrix, t: float, u,
 
 
 def transformed_state_source(model: AffineModel, frame: FrameMatrix,
-                             internal_dt: float = 1e-3, chunk_size: int = 4096):
+                             internal_dt: float = 1e-3):
     """State source for the frame-transformed process.
 
     Returns a callable with the (x0, record_times, n_paths, seed) -> values
-    signature of :func:`affineflow.models.state_source`; internally the base
+    signature the empirical tests accept in place of a model (row p is path p
+    of ``sample_grid`` on the same seed, transformed).  Internally the base
     process is simulated on a uniform grid of step ``internal_dt`` so the
     running integral of the transform is resolved, and only the requested
     record times are returned.  Record times must lie on the internal grid.
+    Paths are simulated and transformed ``models.CHUNK_PATHS`` at a time, so
+    the full-resolution arrays never hold more than one block.
     """
     if internal_dt <= 0:
         raise ValueError("internal_dt must be positive")
@@ -281,11 +285,9 @@ def transformed_state_source(model: AffineModel, frame: FrameMatrix,
         if np.max(np.abs(fine[idx] - ts), initial=0.0) > 1e-9:
             raise ValueError("record times must lie on the internal uniform grid")
         out = np.empty((n_paths, ts.size, frame.dims.d))
-        for start in range(0, n_paths, chunk_size):
-            stop = min(start + chunk_size, n_paths)
-            block = sample_grid(model, x0, fine, stop - start, seed,
-                                chunk_size=chunk_size, path_offset=start,
-                                total_paths=n_paths)
+        for start in range(0, n_paths, models.CHUNK_PATHS):
+            stop = min(start + models.CHUNK_PATHS, n_paths)
+            block = sample_grid(model, x0, fine, stop - start, seed, path_offset=start)
             out[start:stop] = transform_values(block, fine, frame)[:, idx, :]
         return out
 

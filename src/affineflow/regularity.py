@@ -57,13 +57,14 @@ class DerivativeEstimate:
             raise ValueError("derivative estimates must be finite")
 
 
-def _richardson(rows: np.ndarray, scale: float):
+def _richardson(rows: np.ndarray, scale: float, rounding: float):
     """Neville tableau for a first-order one-sided difference with step ratio 2.
 
     ``rows`` holds D(h_i) per schedule entry (coarse to fine), each a flat
     complex vector.  Returns the extrapolant and the sequence of top-row
     increments; increments must decrease strictly until they hit the
-    rounding floor, else the sequence is declared non-convergent.
+    rounding floor, else the sequence is declared non-convergent.  The floor
+    is at least ``rounding``, the rounding noise of the finest quotient.
     """
     tableau = [rows]
     while len(tableau[-1]) > 1:
@@ -74,7 +75,7 @@ def _richardson(rows: np.ndarray, scale: float):
                         for i in range(len(prev) - 1)])
     tops = [level[0] for level in tableau]
     increments = [float(np.max(np.abs(tops[j + 1] - tops[j]))) for j in range(len(tops) - 1)]
-    floor = 1e-13 * max(1.0, scale)
+    floor = max(1e-13 * max(1.0, scale), rounding)
     for j in range(1, len(increments)):
         if increments[j] >= increments[j - 1] and increments[j] > floor:
             raise FRExtrapolationError(
@@ -108,7 +109,11 @@ def estimate_FR(flow_source, u, h_schedule=(1e-2, 5e-3, 2.5e-3),
             raise FRExtrapolationError(f"flow left its domain at step h={h}")
         rows.append(np.concatenate([[(ev.phi - 1.0) / h], (ev.psi - u_arr) / h]))
     scale = float(np.max(np.abs(rows[-1])))
-    ext, err = _richardson(rows, scale)
+    # (Phi(h) - 1)/h and (psi(h) - u)/h cancel O(max(1, |u|)) terms, so the
+    # finest quotient carries rounding noise of about eps * max(1, |u|) / h.
+    magnitude = float(np.max(np.abs(u_arr), initial=1.0))
+    rounding = 16.0 * np.finfo(float).eps * magnitude / hs[-1]
+    ext, err = _richardson(rows, scale, rounding)
     return DerivativeEstimate(
         u=u_arr,
         F_hat=complex(ext[0]),

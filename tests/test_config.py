@@ -30,13 +30,10 @@ grid.x0 = 0.3, 0.0
 
 sim.paths = 5000
 sim.seed = 42
-sim.grid_step = 0.002
-sim.antithetic = true
 
 tol.flow = 1e-8
 tol.ode = 1e-11
 tol.stat_sigma = 3.0
-tol.beta = 1e-6
 
 frame.t = 0.5
 frame.n_schedule = 64, 128, 256
@@ -56,8 +53,8 @@ def test_full_config():
     assert cfg.s_grid == (0.1, 0.3)
     assert cfg.u_points == ((-0.5 + 0.2j, 0.3j), (-1.0 + 0j, -0.6j))
     assert cfg.x0 == (0.3, 0.0)
-    assert cfg.sim == SimBlock(n_paths=5000, seed=42, grid_step=0.002, antithetic=True)
-    assert cfg.thresholds == Thresholds(flow=1e-8, ode=1e-11, stat_sigma=3.0, beta=1e-6)
+    assert cfg.sim == SimBlock(n_paths=5000, seed=42)
+    assert cfg.thresholds == Thresholds(flow=1e-8, ode=1e-11, stat_sigma=3.0)
     assert cfg.frame == FrameBlock(t=0.5, n_schedule=(64, 128, 256), q_tol=1e-4,
                                    internal_dt=0.001, sample_paths=10)
     assert cfg.out_dir == "runs/demo"
@@ -105,7 +102,7 @@ def test_build_model_from_config(cir):
     ("model.name = cir\nframe.n_schedule = 64, 0\n", "must be positive", 2),
     ("model.name = cir\nframe.sample_paths = -1\n", "nonnegative", 2),
     ("model.name = cir\nsim.paths = 2.5\n", "an integer", 2),
-    ("model.name = cir\nsim.antithetic = 1\n", "boolean", 2),
+    ("model.name = cir\nsim.antithetic = true\n", "unknown key", 2),
     ("model.name = cir\ntol.flow = true\n", "real number", 2),
 ])
 def test_config_errors_carry_line_numbers(text, fragment, line):

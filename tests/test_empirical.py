@@ -8,14 +8,12 @@ from affineflow.empirical import (
     BranchContinuityError,
     EcfEstimate,
     affine_factorization_test,
-    ecf,
     ecf_from_states,
     endpoint_states,
     recover_phi_psi,
     semihomogeneity_test,
-    write_ecf_csv,
 )
-from affineflow.models import RealPath, make_heston_like
+from affineflow.models import make_heston_like
 
 
 def test_ecf_estimate_validation():
@@ -41,13 +39,6 @@ def test_ecf_from_states_exact_mean():
     assert constant.value == 1.0 + 0j and constant.stderr == 0.0
     with pytest.raises(ValueError, match="\\(n, d\\)"):
         ecf_from_states(np.zeros(3), u)
-
-
-def test_ecf_uses_cadlag_lookup():
-    paths = [RealPath([0.0, 1.0, 2.0], [[0.0], [float(k)], [5.0]]) for k in range(3)]
-    est = ecf(paths, 1.5, np.array([1j]))  # between grid points: left values 0, 1, 2
-    expected = np.mean(np.exp(1j * np.array([0.0, 1.0, 2.0])))
-    assert est.value == pytest.approx(expected, abs=1e-15)
 
 
 def test_endpoint_states(heston0):
@@ -141,16 +132,3 @@ def test_semihomogeneity_vacuous_without_free_part(cir):
                                   n_paths=10, seed=0)
     assert report.passed and "vacuous" in report.grid_spec
 
-
-def test_write_ecf_csv(tmp_path):
-    states = np.array([[0.0], [1.0]])
-    ests = [ecf_from_states(states, np.array([1j]), t=float(t)) for t in (0.0, 0.5)]
-    target = tmp_path / "ecf.csv"
-    write_ecf_csv(ests, target)
-    text = target.read_text()
-    lines = text.splitlines()
-    assert lines[0] == "t,re_u1,im_u1,re_g,im_g,stderr,n"
-    assert len(lines) == 3
-    assert "np.float64" not in text and "np.complex" not in text
-    with pytest.raises(ValueError, match="nothing"):
-        write_ecf_csv([], tmp_path / "empty.csv")

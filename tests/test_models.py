@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from affineflow import models
 from affineflow.core import Dims, exp_functional
 from affineflow.models import (
     Path,
@@ -14,7 +15,6 @@ from affineflow.models import (
     read_paths_csv,
     sample_grid,
     simulate,
-    state_source,
     uniform_times,
     write_paths_csv,
 )
@@ -85,53 +85,31 @@ def test_seed_determinism(heston0):
     assert not np.array_equal(a, c)
 
 
-def test_chunk_size_never_changes_results(levy):
+def test_chunk_size_never_changes_results(levy, monkeypatch):
     times = uniform_times(1.0, 0.5)
-    a = sample_grid(levy, [0.0, 0.0], times, 10, seed=4, chunk_size=3)
-    b = sample_grid(levy, [0.0, 0.0], times, 10, seed=4, chunk_size=4096)
-    assert np.array_equal(a, b)
+    whole = sample_grid(levy, [0.0, 0.0], times, 10, seed=4)
+    monkeypatch.setattr(models, "CHUNK_PATHS", 3)
+    chunked = sample_grid(levy, [0.0, 0.0], times, 10, seed=4)
+    assert np.array_equal(chunked, whole)
 
 
 def test_window_equals_slice_of_full_run(heston0):
     times = uniform_times(0.5, 0.25)
     full = sample_grid(heston0, [0.3, 0.0], times, 24, seed=5)
-    win = sample_grid(heston0, [0.3, 0.0], times, 6, seed=5, path_offset=9, total_paths=24)
+    win = sample_grid(heston0, [0.3, 0.0], times, 6, seed=5, path_offset=9)
     assert np.array_equal(win, full[9:15])
-
-
-def test_window_equals_slice_antithetic(levy):
-    times = uniform_times(1.0, 0.25)
-    full = sample_grid(levy, [0.0, 0.0], times, 16, seed=5, antithetic=True)
-    win = sample_grid(levy, [0.0, 0.0], times, 6, seed=5, antithetic=True,
-                      path_offset=5, total_paths=16)
-    assert np.array_equal(win, full[5:11])
 
 
 def test_window_validation(levy):
     times = uniform_times(1.0, 0.5)
     with pytest.raises(ValueError):
-        sample_grid(levy, [0.0, 0.0], times, 8, seed=1, path_offset=5, total_paths=10)
+        sample_grid(levy, [0.0, 0.0], times, 8, seed=1, path_offset=-1)
     with pytest.raises(ValueError):
         sample_grid(levy, [0.0, 0.0], times, 0, seed=1)
     with pytest.raises(ValueError):
         sample_grid(levy, [0.0, 0.0], [0.0], 4, seed=1)  # need two record times
     with pytest.raises(ValueError):
         sample_grid(levy, [0.0, 0.0], [0.1, 0.5], 4, seed=1)  # must start at 0
-
-
-def test_antithetic_requires_sampler_support(cir):
-    with pytest.raises(ValueError, match="antithetic"):
-        sample_grid(cir, [1.0], uniform_times(1.0, 0.5), 4, seed=1, antithetic=True)
-
-
-def test_antithetic_pairs_average_to_drift(levy):
-    """Mirrored Gaussian draws cancel: pair means reproduce x0 + drift*t."""
-    times = uniform_times(2.0, 0.5)
-    vals = sample_grid(levy, [1.0, -1.0], times, 32, seed=6, antithetic=True)
-    pair_mean = 0.5 * (vals[0::2] + vals[1::2])
-    drift = np.array(levy.params["drift"])
-    expected = np.array([1.0, -1.0]) + times[:, None] * drift
-    assert np.max(np.abs(pair_mean - expected)) < 1e-12
 
 
 def test_zero_covariance_is_pure_drift():
@@ -196,13 +174,6 @@ def test_paths_csv_transformed_marker(tmp_path):
     assert len(back) == 1 and isinstance(back[0], RealPath)
     with pytest.raises(ValueError):
         write_paths_csv([], tmp_path / "none.csv")
-
-
-def test_state_source_adapter(levy):
-    src = state_source(levy)
-    times = uniform_times(1.0, 0.5)
-    direct = sample_grid(levy, [0.0, 0.0], times, 4, seed=12)
-    assert np.array_equal(src([0.0, 0.0], times, 4, 12), direct)
 
 
 def _ecf_z(model, x0, t, u, n, seed):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from affineflow import models
 from affineflow.core import Dims, Tolerances
 from affineflow.flow import FlowEvaluation, OdeFlowSource, matrix_exp
 from affineflow.models import RealPath, sample_grid, simulate, uniform_times
@@ -236,6 +237,17 @@ def test_transformed_state_source_identity_for_zero_drift(levy):
     raw = sample_grid(levy, [0.1, 0.2], fine, 10, seed=6)
     idx = np.searchsorted(fine, record)
     assert np.array_equal(got, raw[:, idx, :])
+
+
+def test_transformed_state_source_never_depends_on_chunking(heston1, monkeypatch):
+    """Cutting the transform loop into blocks of 3 paths changes no row."""
+    frame = build_frame(heston1.beta, heston1.dims)
+    src = transformed_state_source(heston1, frame, internal_dt=0.05)
+    record = np.array([0.0, 0.25, 0.5])
+    whole = src([0.3, 0.5], record, 10, seed=6)
+    monkeypatch.setattr(models, "CHUNK_PATHS", 3)
+    chunked = src([0.3, 0.5], record, 10, seed=6)
+    assert np.array_equal(chunked, whole)
 
 
 def test_transformed_state_source_validation(heston0):

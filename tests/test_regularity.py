@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from affineflow.core import Dims
-from affineflow.flow import FlowEvaluation, OdeFlowSource
+from affineflow.flow import FlowEvaluation, OdeFlowSource, flow_source_for
 from affineflow.regularity import (
     DerivativeEstimate,
     FRExtrapolationError,
@@ -13,6 +13,7 @@ from affineflow.regularity import (
     riccati_consistency,
     u_jacobian,
 )
+from affineflow.verify import sample_imaginary_points
 
 
 def test_derivative_estimate_validation():
@@ -69,6 +70,18 @@ def test_estimate_fr_rejects_nonsmooth_flow():
 
     with pytest.raises(FRExtrapolationError, match="stopped decreasing"):
         estimate_FR(kinked, np.array([-1.0 + 0j]))
+
+
+def test_estimate_fr_five_steps_accepts_rounding_noise(levy):
+    """A 5-step schedule's finest quotients carry ~eps/h rounding noise; a
+    smooth flow must not be rejected when the increments stall at that level."""
+    source = flow_source_for(levy, prefer_closed=True)
+    rng = np.random.default_rng(0)
+    schedule = (1e-2, 5e-3, 2.5e-3, 1.25e-3, 6.25e-4)
+    for _ in range(400):
+        u = sample_imaginary_points(levy.dims, 1, rng)[0]
+        est = estimate_FR(source, u, h_schedule=schedule)
+        assert abs(est.F_hat - levy.gen.F(u)) < 1e-6
 
 
 def test_estimate_fr_from_samples_cir(cir):
