@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import csv
 import datetime
 import json
 import os
@@ -29,9 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig, load_config
-from .core import Dims, Tolerances, as_state
+from .core import Dims, as_state
 from .flow import FlowIntegrationError, flow_source_for
-from .models import write_paths_csv
 from .movingframe import FramePipelineError, FrameRecursionError, frame_pipeline
 from .verify import (
     CheckReport,
@@ -107,6 +107,17 @@ def _write_metadata(out_dir: Path, cfg: RunConfig, command: str, extra: dict) ->
     }
     payload.update(extra)
     _write_text(out_dir / "run_metadata.json", _json_text(payload))
+
+
+def _write_paths_csv(path: Path, times: np.ndarray, values: np.ndarray) -> None:
+    """Transformed paths in long format: path_id, t, x1..xd, one row per grid point."""
+    with open(path, "w", newline="") as fh:
+        fh.write("# frame=transformed\n")
+        writer = csv.writer(fh)
+        writer.writerow(["path_id", "t"] + [f"x{i + 1}" for i in range(values.shape[-1])])
+        for pid, rows in enumerate(values):
+            for t, row in zip(times, rows):
+                writer.writerow([pid, repr(float(t))] + [repr(float(v)) for v in row])
 
 
 # ----------------------------------------------------------------------------
@@ -502,9 +513,9 @@ def cmd_frame(cfg: RunConfig, json_out: bool = False) -> int:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_text(out_dir / "frame_report.json", _json_text(payload))
-    if result.transformed_sample:
-        write_paths_csv(result.transformed_sample, out_dir / "transformed_paths.csv",
-                        transformed=True)
+    if len(result.transformed_sample):
+        _write_paths_csv(out_dir / "transformed_paths.csv", result.sample_times,
+                         result.transformed_sample)
     _write_metadata(out_dir, cfg, "frame", {"u_points": len(u_set)})
 
     if json_out:

@@ -3,15 +3,17 @@
 The format is deliberately minimal so a config diff reads like prose: one
 assignment per line, ``#`` comments, sections spelled in the key itself
 (``model.name``, ``sim.seed``).  Values are scalars (ints, reals, complex
-numbers, booleans, bare words or quoted strings), comma-separated lists of
-scalars, or comma-separated lists of parenthesized tuples.  Unknown keys and
-duplicate assignments are hard errors with a line/column diagnostic; the
-point of a whitelist is that a typo cannot silently become a default.
+numbers, bare words or quoted strings), comma-separated lists of scalars, or
+comma-separated lists of parenthesized tuples; ``model.*`` parameters take
+real numbers only.  Unknown keys and duplicate assignments are hard errors
+with a line/column diagnostic; the point of a whitelist is that a typo cannot
+silently become a default.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import re
 from dataclasses import dataclass, field
 
@@ -92,9 +94,23 @@ class RunConfig:
     source_path: str = "<config>"
 
     def build_model(self):
-        from .models import model_from_spec
+        """Build the catalog model; an unknown name, a bad key or a bad value is a ConfigError."""
+        from .models import MODEL_FACTORIES, model_from_spec
 
-        return model_from_spec(self.model_name, dict(self.model_params))
+        factory = MODEL_FACTORIES.get(self.model_name)
+        if factory is None:
+            raise ConfigError(f"unknown model {self.model_name!r}; known: "
+                              f"{sorted(MODEL_FACTORIES)}", path=self.source_path)
+        try:
+            inspect.signature(factory).bind(**self.model_params)
+        except TypeError as exc:
+            raise ConfigError(f"model {self.model_name!r}: {exc}",
+                              path=self.source_path) from exc
+        try:
+            return model_from_spec(self.model_name, dict(self.model_params))
+        except ValueError as exc:
+            raise ConfigError(f"model {self.model_name!r}: {exc}",
+                              path=self.source_path) from exc
 
     def with_seed(self, seed: int) -> "RunConfig":
         return dataclasses.replace(self, sim=dataclasses.replace(self.sim, seed=int(seed)))
@@ -121,9 +137,6 @@ def _parse_scalar(tok: str, line: int, col: int, path: str):
     text = tok.strip()
     if not text:
         raise ConfigError("empty value item", line, col, path)
-    low = text.lower()
-    if low in ("true", "false"):
-        return low == "true"
     try:
         return int(text)
     except ValueError:
@@ -197,7 +210,7 @@ def _one_scalar(items, line, col, path, kinds, what):
     if len(items) != 1 or items[0][0] != "scalar":
         raise ConfigError(f"expected a single {what}", line, col, path)
     v = items[0][1]
-    if isinstance(v, bool) or not isinstance(v, kinds):
+    if not isinstance(v, kinds):
         raise ConfigError(f"expected {what}, got {v!r}", line, col, path)
     return v
 
@@ -219,7 +232,7 @@ def _word(items, line, col, path):
 def _real_list(items, line, col, path):
     out = []
     for kind, v in items:
-        if kind != "scalar" or not isinstance(v, (int, float)) or isinstance(v, bool):
+        if kind != "scalar" or not isinstance(v, (int, float)):
             raise ConfigError("expected a comma-separated list of real numbers",
                               line, col, path)
         out.append(float(v))
@@ -229,7 +242,7 @@ def _real_list(items, line, col, path):
 def _int_list(items, line, col, path):
     out = []
     for kind, v in items:
-        if kind != "scalar" or not isinstance(v, int) or isinstance(v, bool):
+        if kind != "scalar" or not isinstance(v, int):
             raise ConfigError("expected a comma-separated list of integers",
                               line, col, path)
         out.append(int(v))
@@ -243,7 +256,7 @@ def _point_list(items, line, col, path):
         comps = v if kind == "group" else (v,)
         point = []
         for c in comps:
-            if isinstance(c, bool) or isinstance(c, str):
+            if isinstance(c, str):
                 raise ConfigError(f"point components must be numbers, got {c!r}",
                                   line, col, path)
             point.append(complex(c))
@@ -252,6 +265,12 @@ def _point_list(items, line, col, path):
 
 
 def _model_param(items, line, col, path):
+    """A real number, a list of reals, or a list of tuples of reals."""
+    for kind, v in items:
+        for c in (v if kind == "group" else (v,)):
+            if not isinstance(c, (int, float)):
+                raise ConfigError(f"model parameters must be real numbers, got {c!r}",
+                                  line, col, path)
     if all(kind == "scalar" for kind, _ in items):
         vals = [v for _, v in items]
         return vals[0] if len(vals) == 1 else tuple(vals)

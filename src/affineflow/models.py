@@ -10,7 +10,6 @@ results are bit-for-bit reproducible and independent of how paths are batched.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -23,8 +22,6 @@ from .flow import FlowEvaluation
 __all__ = [
     "GeneratorPair",
     "AffineModel",
-    "RealPath",
-    "Path",
     "make_levy",
     "make_cir",
     "make_heston_like",
@@ -35,8 +32,6 @@ __all__ = [
     "sample_grid",
     "CHUNK_PATHS",
     "uniform_times",
-    "write_paths_csv",
-    "read_paths_csv",
 ]
 
 
@@ -51,49 +46,6 @@ class GeneratorPair:
 
     F: Callable[[np.ndarray], complex]
     R: Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass
-class RealPath:
-    """A cadlag piecewise-constant record of a path on a sorted time grid."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.times.ndim != 1 or self.values.ndim != 2:
-            raise ValueError("need 1-d times and 2-d values")
-        if len(self.times) != len(self.values):
-            raise ValueError("times and values must have equal length")
-        if len(self.times) == 0 or self.times[0] != 0.0:
-            raise ValueError("paths start at time 0")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly increasing")
-
-    @property
-    def d(self) -> int:
-        return self.values.shape[1]
-
-    def value_at(self, t: float) -> np.ndarray:
-        """Piecewise-constant lookup: the value at the largest grid time <= t."""
-        if t < self.times[0]:
-            raise ValueError(f"time {t} precedes the path start")
-        idx = int(np.searchsorted(self.times, t, side="right")) - 1
-        return self.values[idx]
-
-
-class Path(RealPath):
-    """A path constrained to the state space (cone components nonnegative)."""
-
-    def __init__(self, times, values, dims: Dims):
-        self.dims = dims
-        super().__init__(times, values)
-        if self.values.shape[1] != dims.d:
-            raise ValueError(f"values have {self.values.shape[1]} components, expected {dims.d}")
-        if dims.m and np.min(self.values[:, dims.I]) < 0:
-            raise ValueError("cone components of a state path must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -522,51 +474,10 @@ def sample_grid(model: AffineModel, x0, record_times, n_paths: int, seed,
 
 
 def simulate(model: AffineModel, x0, horizon: float, grid_step: float, n_paths: int,
-             seed) -> list[Path]:
-    """Simulate paths on a uniform grid, materialized as Path objects."""
-    times = uniform_times(horizon, grid_step)
-    values = sample_grid(model, x0, times, n_paths, seed)
-    return [Path(times, values[p], model.dims) for p in range(n_paths)]
+             seed) -> tuple[np.ndarray, np.ndarray]:
+    """Sample paths on the uniform grid 0, grid_step, ..., horizon.
 
-
-# ----------------------------------------------------------------------------
-# path CSV (long format with a path_id column)
-
-
-def write_paths_csv(paths: list[RealPath], file_path, transformed: bool = False) -> None:
-    """Write paths in long format: path_id, t, x1..xd (one row per grid point)."""
-    if not paths:
-        raise ValueError("no paths to write")
-    d = paths[0].d
-    with open(file_path, "w", newline="") as fh:
-        if transformed:
-            fh.write("# frame=transformed\n")
-        writer = csv.writer(fh)
-        writer.writerow(["path_id", "t"] + [f"x{i + 1}" for i in range(d)])
-        for pid, path in enumerate(paths):
-            for t, row in zip(path.times, path.values):
-                writer.writerow([pid, repr(float(t))] + [repr(float(v)) for v in row])
-
-
-def read_paths_csv(file_path, dims: Dims | None = None) -> list[RealPath]:
-    """Read a long-format path CSV back into path objects.
-
-    Returns Path objects when ``dims`` is given (state-space validation on),
-    plain RealPath otherwise.
+    Returns ``(times, values)`` with ``values`` as ``sample_grid`` returns it.
     """
-    groups: dict[int, list[tuple[float, list[float]]]] = {}
-    with open(file_path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    header, body = rows[0], rows[1:]
-    if header[:2] != ["path_id", "t"]:
-        raise ValueError(f"unexpected path CSV header: {header}")
-    for row in body:
-        pid = int(row[0])
-        groups.setdefault(pid, []).append((float(row[1]), [float(v) for v in row[2:]]))
-    out: list[RealPath] = []
-    for pid in sorted(groups):
-        pts = sorted(groups[pid], key=lambda p: p[0])
-        times = np.array([p[0] for p in pts])
-        values = np.array([p[1] for p in pts])
-        out.append(Path(times, values, dims) if dims is not None else RealPath(times, values))
-    return out
+    times = uniform_times(horizon, grid_step)
+    return times, sample_grid(model, x0, times, n_paths, seed)

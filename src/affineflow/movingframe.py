@@ -11,7 +11,7 @@ bundles everything into a simulate-transform-certify pipeline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -19,7 +19,7 @@ import numpy as np
 from . import models
 from .core import Dims, Region, Tolerances, as_point, classify_region
 from .flow import FlowIntegrationError, as_flow_source, flow_source_for, matrix_exp
-from .models import AffineModel, RealPath, sample_grid, uniform_times
+from .models import AffineModel, sample_grid, uniform_times
 from .verify import CheckReport, _top_witnesses, extract_beta
 
 __all__ = [
@@ -30,9 +30,7 @@ __all__ = [
     "FramePipelineResult",
     "build_frame",
     "transform_values",
-    "transform_path",
     "inverse_values",
-    "inverse_transform",
     "pq_recursion",
     "pq_extrapolate",
     "transformed_state_source",
@@ -103,12 +101,6 @@ def transform_values(values: np.ndarray, times: np.ndarray, frame: FrameMatrix) 
     return x - integral @ frame.K
 
 
-def transform_path(path, frame: FrameMatrix) -> RealPath:
-    """Frame-transform one recorded path; the result may leave the state cone."""
-    z = transform_values(path.values[None], path.times, frame)[0]
-    return RealPath(path.times.copy(), z)
-
-
 def inverse_values(values: np.ndarray, times: np.ndarray, frame: FrameMatrix) -> np.ndarray:
     """Invert the frame transform by variation of constants (left rule).
 
@@ -134,12 +126,6 @@ def inverse_values(values: np.ndarray, times: np.ndarray, frame: FrameMatrix) ->
         acc = (acc + h * z[..., i - 1, :]) @ e_row
         out[..., i, :] += acc @ frame.K
     return out
-
-
-def inverse_transform(zpath, frame: FrameMatrix) -> RealPath:
-    """Invert the frame transform on one recorded path."""
-    x = inverse_values(zpath.values[None], zpath.times, frame)[0]
-    return RealPath(zpath.times.copy(), x)
 
 
 # ----------------------------------------------------------------------------
@@ -307,8 +293,9 @@ class FramePipelineResult:
     """Everything the frame pipeline produced, plus the composite report.
 
     ``report`` normalizes each certified stage by its own threshold, so the
-    composite threshold is 1.  ``transformed_sample`` holds a handful of
-    transformed paths on the internal grid for inspection or export.
+    composite threshold is 1.  ``transformed_sample`` holds the first few
+    transformed paths, shape (paths, len(sample_times), d), on the internal
+    grid ``sample_times`` for inspection or export.
     """
 
     beta: np.ndarray
@@ -323,7 +310,8 @@ class FramePipelineResult:
     ecf_z: float
     semihomog: CheckReport
     report: CheckReport
-    transformed_sample: list = field(default_factory=list)
+    sample_times: np.ndarray
+    transformed_sample: np.ndarray
 
 
 def frame_pipeline(model: AffineModel, t: float, u_set, x0, n_paths: int,
@@ -370,12 +358,8 @@ def frame_pipeline(model: AffineModel, t: float, u_set, x0, n_paths: int,
         z_source = transformed_state_source(model, frame, internal_dt=internal_dt)
         record = np.array([0.0, float(t)])
         z_end = z_source(x0_arr, record, n_paths, seeds[0])[:, -1, :]
-        sample = []
-        if n_sample_paths > 0:
-            fine = uniform_times(float(t), internal_dt)
-            raw = sample_grid(model, x0_arr, fine, min(n_sample_paths, n_paths), seeds[0])
-            z_vals = transform_values(raw, fine, frame)
-            sample = [RealPath(fine.copy(), z_vals[i]) for i in range(z_vals.shape[0])]
+        fine = uniform_times(float(t), internal_dt)
+        sample = z_source(x0_arr, fine, min(n_sample_paths, n_paths), seeds[0])
     except (ValueError, FlowIntegrationError) as exc:
         raise FramePipelineError("simulate_transform", str(exc)) from exc
 
@@ -450,5 +434,5 @@ def frame_pipeline(model: AffineModel, t: float, u_set, x0, n_paths: int,
         p_values=p_values, q_values=q_values,
         p_endpoint=p_endpoint, q_endpoint=q_endpoint, pq_states=state_lists,
         q_defect=q_defect, ecf_z=ecf_z, semihomog=semihomog,
-        report=report, transformed_sample=sample,
+        report=report, sample_times=fine, transformed_sample=sample,
     )

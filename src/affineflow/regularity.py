@@ -9,12 +9,11 @@ finite-difference u-derivatives on the open half-space round out the module.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dims, Tolerances, as_point, in_domain, in_domain_interior
+from .core import Dims, Tolerances, as_point, in_domain_interior
 from .flow import as_flow_source
 from .verify import CheckReport
 

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.linalg
 
-from .core import Dims, Region, Tolerances, as_point, classify_region, in_domain_interior
+from .core import Dims, Tolerances, in_domain_interior
 from .flow import FlowEvaluation, as_flow_source, matrix_exp
 
 __all__ = [

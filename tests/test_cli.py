@@ -115,6 +115,20 @@ def test_malformed_config_file(tmp_path, capsys):
     assert "config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", [
+    "model.bogus = 2",    # no such factory argument
+    "model.name = cirr",  # no such model
+    "model.a = -1",       # the factory rejects the value
+])
+def test_bad_model_spec_is_config_error(tmp_path, capsys, line):
+    key = line.split("=")[0].strip()
+    text = "".join(row + "\n" for row in CIR_FAST.splitlines() if not row.startswith(key + " "))
+    cfg = write_cfg(tmp_path, text + line + "\n")
+    code = main(["flow", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 def test_u_point_with_wrong_dimension(tmp_path, capsys):
     cfg = write_cfg(tmp_path, CIR_FAST.replace(
         "grid.u = (-1.0), (-0.5+0.4j)", "grid.u = (-1.0, 0.5j)"))
@@ -330,7 +344,12 @@ def test_frame_writes_report_and_paths(tmp_path, capsys):
 
     text = (out / "transformed_paths.csv").read_text().splitlines()
     assert text[0] == "# frame=transformed"
-    assert text[1].startswith("path_id,t,")
+    assert text[1] == "path_id,t,x1,x2"
+    rows = [line.split(",") for line in text[2:]]
+    assert len(rows) == 5 * 251  # sample_paths x grid points of 0.5 / 2e-3
+    assert sorted({int(r[0]) for r in rows}) == [0, 1, 2, 3, 4]
+    starts = [r[2:] for r in rows if r[1] == "0.0"]
+    assert starts == [["0.3", "0.0"]] * 5  # the transform leaves x0 unchanged
     meta = json.loads((out / "run_metadata.json").read_text())
     assert meta["command"] == "frame" and meta["u_points"] == 1
 

@@ -104,6 +104,8 @@ def test_build_model_from_config(cir):
     ("model.name = cir\nsim.paths = 2.5\n", "an integer", 2),
     ("model.name = cir\nsim.antithetic = true\n", "unknown key", 2),
     ("model.name = cir\ntol.flow = true\n", "real number", 2),
+    ("model.name = cir\nmodel.a = true\n", "real numbers", 2),
+    ("model.name = cir\nmodel.a = fast\n", "real numbers", 2),
 ])
 def test_config_errors_carry_line_numbers(text, fragment, line):
     with pytest.raises(ConfigError) as exc:

@@ -1,4 +1,4 @@
-"""Catalog models and samplers: exactness, seeding, windows, path plumbing."""
+"""Catalog models and samplers: exactness, seeding, windows."""
 
 import numpy as np
 import pytest
@@ -6,17 +6,13 @@ import pytest
 from affineflow import models
 from affineflow.core import Dims, exp_functional
 from affineflow.models import (
-    Path,
-    RealPath,
     make_cir,
     make_heston_like,
     make_levy,
     model_from_spec,
-    read_paths_csv,
     sample_grid,
     simulate,
     uniform_times,
-    write_paths_csv,
 )
 
 
@@ -121,59 +117,11 @@ def test_zero_covariance_is_pure_drift():
 
 
 def test_simulate_returns_state_paths(heston0):
-    paths = simulate(heston0, [0.3, 0.0], 1.0, 0.25, 3, seed=2)
-    assert len(paths) == 3
-    for p in paths:
-        assert isinstance(p, Path)
-        assert p.times[0] == 0.0 and p.d == 2
-        assert np.min(p.values[:, 0]) >= 0.0
-
-
-def test_path_value_lookup():
-    p = RealPath([0.0, 1.0, 2.0], [[0.0], [10.0], [20.0]])
-    assert p.value_at(0.0) == pytest.approx([0.0])
-    assert p.value_at(1.5) == pytest.approx([10.0])  # cadlag: left value
-    assert p.value_at(2.0) == pytest.approx([20.0])
-    assert p.value_at(5.0) == pytest.approx([20.0])
-    with pytest.raises(ValueError):
-        p.value_at(-0.5)
-
-
-def test_path_validation():
-    with pytest.raises(ValueError):
-        RealPath([0.5, 1.0], [[0.0], [1.0]])  # must start at 0
-    with pytest.raises(ValueError):
-        RealPath([0.0, 0.0], [[0.0], [1.0]])  # strictly increasing
-    with pytest.raises(ValueError):
-        RealPath([0.0, 1.0], [[0.0]])  # length mismatch
-    with pytest.raises(ValueError):
-        Path([0.0, 1.0], [[1.0], [-0.5]], Dims(1, 0))  # cone violation
-    with pytest.raises(ValueError):
-        Path([0.0, 1.0], [[1.0], [0.5]], Dims(1, 1))  # wrong width
-
-
-def test_paths_csv_roundtrip(tmp_path, heston0):
-    paths = simulate(heston0, [0.3, 0.0], 1.0, 0.25, 3, seed=8)
-    target = tmp_path / "paths.csv"
-    write_paths_csv(paths, target)
-    back = read_paths_csv(target, dims=heston0.dims)
-    assert len(back) == 3
-    for orig, read in zip(paths, back):
-        assert isinstance(read, Path)
-        assert np.array_equal(orig.times, read.times)
-        assert np.array_equal(orig.values, read.values)  # repr round-trips floats
-
-
-def test_paths_csv_transformed_marker(tmp_path):
-    p = RealPath([0.0, 1.0], [[0.0], [1.0]])
-    target = tmp_path / "z.csv"
-    write_paths_csv([p], target, transformed=True)
-    first = target.read_text().splitlines()[0]
-    assert first == "# frame=transformed"
-    back = read_paths_csv(target)
-    assert len(back) == 1 and isinstance(back[0], RealPath)
-    with pytest.raises(ValueError):
-        write_paths_csv([], tmp_path / "none.csv")
+    times, values = simulate(heston0, [0.3, 0.0], 1.0, 0.25, 3, seed=2)
+    assert np.array_equal(times, uniform_times(1.0, 0.25))
+    assert values.shape == (3, 5, 2)
+    assert np.array_equal(values, sample_grid(heston0, [0.3, 0.0], times, 3, seed=2))
+    assert np.min(values[:, :, 0]) >= 0.0  # cone component stays nonnegative
 
 
 def _ecf_z(model, x0, t, u, n, seed):

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from affineflow import models
-from affineflow.core import Dims, Tolerances
+from affineflow.core import Dims
 from affineflow.flow import FlowEvaluation, OdeFlowSource, matrix_exp
-from affineflow.models import RealPath, sample_grid, simulate, uniform_times
+from affineflow.models import sample_grid, uniform_times
 from affineflow.movingframe import (
     FrameMatrix,
     FramePipelineError,
@@ -17,11 +17,9 @@ from affineflow.movingframe import (
     PQState,
     build_frame,
     frame_pipeline,
-    inverse_transform,
     inverse_values,
     pq_extrapolate,
     pq_recursion,
-    transform_path,
     transform_values,
     transformed_state_source,
 )
@@ -114,15 +112,6 @@ def test_roundtrip_error_halves_with_the_step():
         errors.append(float(np.max(np.abs(back - x))))
     assert errors[0] / errors[1] == pytest.approx(2.0, abs=0.3)
     assert errors[1] / errors[2] == pytest.approx(2.0, abs=0.3)
-
-
-def test_path_level_transform_roundtrip(heston0):
-    frame = build_frame([[-1.0]], D11)
-    path = simulate(heston0, [0.3, 0.0], 0.5, 0.01, 1, seed=4)[0]
-    z = transform_path(path, frame)
-    assert isinstance(z, RealPath) and np.array_equal(z.times, path.times)
-    back = inverse_transform(z, frame)
-    assert np.max(np.abs(back.values - path.values)) < 0.02  # O(h) with h = 0.01
 
 
 def _contracting_source(rate=1.0):
@@ -274,8 +263,9 @@ def test_frame_pipeline_certifies_mean_reverting_model(heston1):
     assert result.ecf_z <= 3.0
     assert result.semihomog.passed
     assert len(result.pq_states) == 1 and len(result.pq_states[0]) == 3
-    assert len(result.transformed_sample) == 5
-    assert all(isinstance(p, RealPath) for p in result.transformed_sample)
+    assert np.array_equal(result.sample_times, uniform_times(0.5, 2e-3))
+    assert result.transformed_sample.shape == (5, result.sample_times.size, 2)
+    assert np.array_equal(result.transformed_sample[:, 0], np.tile([0.3, 0.0], (5, 1)))
     # free components of the recursion limit return to the input argument
     assert abs(result.q_values[0][1] - 0.5j) <= 1e-3
 
@@ -289,7 +279,7 @@ def test_frame_pipeline_extracts_beta_when_missing(heston1):
     )
     assert result.beta_origin == "extracted"
     assert abs(result.beta[0, 0] - (-1.0)) < 1e-5
-    assert result.transformed_sample == []
+    assert result.transformed_sample.shape[0] == 0
 
 
 def test_frame_pipeline_operational_failures(heston1):
