@@ -31,19 +31,26 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, load_config
 from .core import Dims, as_state
+from .empirical import (
+    BranchContinuityError,
+    affine_factorization_test,
+    recover_phi_psi,
+    semihomogeneity_test,
+)
 from .flow import FlowIntegrationError, flow_source_for
 from .movingframe import FramePipelineError, FrameRecursionError, frame_pipeline
 from .verify import (
     CheckReport,
     MatrixLogError,
     TestFunction,
+    _posdef_points,
+    _posdef_report,
     check_monotonicity,
     check_property_A,
     check_semiflow,
     extract_beta,
     feller_decay,
     fit_linearity,
-    posdef_certificate,
     report_to_json,
     sample_imaginary_points,
     sample_interior_points,
@@ -59,9 +66,11 @@ EXIT_NUMERICAL = 3
 
 _PROBE_SEED = 2024  # fixed probe-point stream: tables must not drift with sim.seed
 
+# The package's own numerical failures plus arithmetic errors; any other
+# exception is a bug and propagates with its traceback.
 _NUMERICAL_ERRORS = (FlowIntegrationError, MatrixLogError, FrameRecursionError,
-                     FramePipelineError, np.linalg.LinAlgError, FloatingPointError,
-                     ZeroDivisionError, OverflowError, RuntimeError, ValueError)
+                     FramePipelineError, BranchContinuityError, np.linalg.LinAlgError,
+                     FloatingPointError, ZeroDivisionError, OverflowError)
 
 
 def _thread_count() -> int:
@@ -290,17 +299,12 @@ def _chk_posdef(cfg, model, source, seed):
     rng = np.random.default_rng(seed)
     pairs = [(rng.normal(0.0, 0.7, dims.d), rng.normal(0.0, 0.7, dims.d))
              for _ in range(50)]
-
-    def theta(y):
-        ev = source.at(t, 1j * np.asarray(y, dtype=float))
-        return ev.phi * np.exp(ev.psi @ x0)
-
-    return posdef_certificate(theta, pairs)
+    # theta(y) = E exp(<i y, X_t>) from x0, at every probe point in one flow call
+    row = source.on_grid([t], [1j * y for y in _posdef_points(pairs)])[0]
+    return _posdef_report(pairs, [ev.phi * np.exp(ev.psi @ x0) for ev in row], 1e-10)
 
 
 def _chk_factorization(cfg, model, source, seed):
-    from .empirical import affine_factorization_test
-
     dims = model.dims
     t = _positive_times(cfg)[0]
     x0 = _resolve_x0(cfg, model)
@@ -318,8 +322,6 @@ def _chk_factorization(cfg, model, source, seed):
 
 
 def _chk_recover(cfg, model, source, seed):
-    from .empirical import recover_phi_psi
-
     if model.gen is None and model.closed_flow is None:
         return CheckReport("recover", "no reference flow (vacuous)", 0.0,
                            cfg.thresholds.stat_sigma, [])
@@ -352,8 +354,6 @@ def _chk_recover(cfg, model, source, seed):
 
 
 def _chk_semihomogeneity(cfg, model, source, seed):
-    from .empirical import semihomogeneity_test
-
     dims = model.dims
     rng = np.random.default_rng(seed)
     u = sample_imaginary_points(dims, 1, rng)[0]

@@ -101,11 +101,16 @@ class RunConfig:
         if factory is None:
             raise ConfigError(f"unknown model {self.model_name!r}; known: "
                               f"{sorted(MODEL_FACTORIES)}", path=self.source_path)
+        signature = inspect.signature(factory, eval_str=True)
         try:
-            inspect.signature(factory).bind(**self.model_params)
+            signature.bind(**self.model_params)
         except TypeError as exc:
             raise ConfigError(f"model {self.model_name!r}: {exc}",
                               path=self.source_path) from exc
+        for name, value in self.model_params.items():
+            if signature.parameters[name].annotation is float and not isinstance(value, (int, float)):
+                raise ConfigError(f"model {self.model_name!r}: parameter {name!r} must be a "
+                                  f"real number, got {value!r}", path=self.source_path)
         try:
             return model_from_spec(self.model_name, dict(self.model_params))
         except ValueError as exc:

@@ -8,8 +8,10 @@ transform solve
 
 Integrating the log of the scalar factor keeps its branch continuous in t for
 free.  The stepper is an embedded Dormand-Prince 5(4) pair with PI step-size
-control, operating directly on complex state vectors, landing exactly on every
-requested checkpoint, and watching for exits from the admissible half-space.
+control over a lane axis: every transform argument of a call is one lane of a
+single solve on complex states, all lanes share the step sequence, land
+exactly on every requested checkpoint, and leave the active set on their own
+when they exit the admissible half-space or fail.
 """
 
 from __future__ import annotations
@@ -74,7 +76,9 @@ class FlowEvaluation:
 
 
 # Dormand-Prince 5(4) tableau (FSAL: the 7th stage is the first of the next step).
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+# The weights are stored complex so that their products with the complex
+# stages run on numpy's complex loop without a cast; their values are real.
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _DP_A = (
     (),
     (1 / 5,),
@@ -84,42 +88,76 @@ _DP_A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_DP_A_ROWS = tuple(np.array(row) for row in _DP_A)
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_DP_A_ROWS = tuple(np.array(row, dtype=np.complex128) for row in _DP_A)
+_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+                  dtype=np.complex128)
 _DP_ERR = _DP_B5 - np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40],
+    dtype=np.complex128,
 )
 
 
-def _dp45(rhs, y0, checkpoints, rtol, atol, guard=None, max_steps=200_000):
-    """Integrate y' = rhs(s, y) from s=0 over the ascending ``checkpoints``.
+def _dp45(rhs, y0, checkpoints, rtol, atol, guard, max_steps=200_000):
+    """Integrate the lanes of y' = rhs(s, y) from s=0 over the ascending ``checkpoints``.
 
-    Returns ``(records, halt)`` where ``records`` maps checkpoint -> state for
-    every checkpoint reached, and ``halt`` is ``None`` or ``(s, reason)`` when
-    the guard stopped the integration early.
+    ``y0`` is (L, n): L independent systems (lanes) that share one step-size
+    sequence.  Each step is sized by the worst lane's scaled RMS error, so
+    every lane meets ``rtol``/``atol``.  The active states are stored flat,
+    (k*n,), and the stages as (7, k*n), so each stage combination is one
+    matmul.  ``rhs(s, y, out)`` writes the derivatives of the (k, n) states
+    ``y`` into ``out``; ``guard(s, y)`` takes the (k, n) states after an
+    accepted step and returns ``None`` or the (k,) mask of lanes that left
+    the domain.
+
+    Returns ``(records, exit_s, errors)``: ``records`` is (len(checkpoints),
+    L, n), NaN where a lane did not reach a checkpoint; ``exit_s[j]`` is the
+    time the guard took lane j out (NaN if never); ``errors[j]`` is ``None``
+    or the :class:`FlowIntegrationError` that failed lane j alone (a
+    non-finite derivative, or the worst lane when the step underflows).
+    Lanes that are out never hold up the others.
     """
-    y = np.array(y0, dtype=np.complex128)
+    n_lanes, n = y0.shape
+    records = np.full((len(checkpoints), n_lanes, n), np.nan, dtype=np.complex128)
+    exit_s = np.full(n_lanes, np.nan)
+    errors: list = [None] * n_lanes
+    lanes = np.arange(n_lanes)  # original index of each active lane
+    y = y0.reshape(-1)
+    f = np.empty_like(y)
+    k = np.empty((7, y.size), dtype=np.complex128)
     s = 0.0
-    records: dict[float, np.ndarray] = {}
     targets = list(checkpoints)
+    t_end = targets[-1]
     ti = 0
     while ti < len(targets) and targets[ti] <= s:
-        records[targets[ti]] = y.copy()
+        records[ti] = y0
         ti += 1
-    if ti >= len(targets):
-        return records, None
+    if ti == len(targets):
+        return records, exit_s, errors
 
-    f = rhs(s, y)
-    t_end = targets[-1]
-    sc = atol + rtol * np.abs(y)
-    d0 = _scaled_norm(y, sc)
-    d1 = _scaled_norm(f, sc)
-    h = min(0.01 * d0 / d1 if d1 > 0 and d0 > 0 else 1e-6 * max(t_end, 1.0), t_end)
-    h = max(h, 1e-12 * max(t_end, 1.0))
+    def drop(out, exc=None):
+        """Take the active lanes flagged in ``out`` out: exited at s, or failed with ``exc``."""
+        nonlocal lanes, y, f, k
+        if exc is None:
+            exit_s[lanes[out]] = s
+        else:
+            for j in lanes[out]:
+                errors[j] = exc
+        keep = ~out
+        lanes = lanes[keep]
+        y = y.reshape(-1, n)[keep].ravel()
+        f = f.reshape(-1, n)[keep].ravel()
+        k = np.empty((7, y.size), dtype=np.complex128)
 
+    rhs(s, y.reshape(-1, n), f.reshape(-1, n))
+    bad = ~np.isfinite(f).reshape(-1, n).all(axis=1)
+    if bad.any():
+        drop(bad, FlowIntegrationError("generator returned a non-finite value", s))
+    h = _initial_step(y, f, n, rtol, atol, t_end)
     err_prev = 1.0
-    k = np.empty((7, y.size), dtype=np.complex128)
+    lane_sq = None  # per-lane squared scaled error of the last attempted step
     for _ in range(max_steps):
+        if not lanes.size:
+            return records, exit_s, errors
         clipped = False
         if s + h >= targets[ti] - 1e-14 * max(1.0, targets[ti]):
             h_step = targets[ti] - s
@@ -127,32 +165,46 @@ def _dp45(rhs, y0, checkpoints, rtol, atol, guard=None, max_steps=200_000):
         else:
             h_step = h
         if h_step <= 1e-14 * max(1.0, s):
-            raise FlowIntegrationError(
-                "step size underflow: system too stiff for the error contract", s
-            )
+            # The lane whose error drove the step down fails; the others
+            # restart from a fresh step proposal.
+            bad = (np.ones(lanes.size, dtype=bool) if lane_sq is None
+                   else np.arange(lanes.size) == np.argmax(lane_sq))
+            drop(bad, FlowIntegrationError(
+                "step size underflow: system too stiff for the error contract", s))
+            h = _initial_step(y, f, n, rtol, atol, t_end - s)
+            err_prev, lane_sq = 1.0, None
+            continue
 
+        hc = np.array(complex(h_step))
         k[0] = f
         for i in range(1, 7):
-            yi = y + h_step * (_DP_A_ROWS[i] @ k[:i])
-            k[i] = rhs(s + _DP_C[i] * h_step, yi)
-        y_new = y + h_step * (_DP_B5 @ k)
-        err_vec = h_step * (_DP_ERR @ k)
+            rhs(s + _DP_C[i] * h_step, (y + hc * (_DP_A_ROWS[i] @ k[:i])).reshape(-1, n),
+                k[i].reshape(-1, n))
+        finite = np.isfinite(k)
+        if not finite.all():
+            # Fail the lanes with a non-finite derivative and retry the step without them.
+            drop(~finite.reshape(7, -1, n).all(axis=(0, 2)),
+                 FlowIntegrationError("generator returned a non-finite value", s))
+            lane_sq = None
+            continue
+        y_new = y + hc * (_DP_B5 @ k)
         sc = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = _scaled_norm(err_vec, sc)
+        lane_sq = ((np.abs(hc * (_DP_ERR @ k)) / sc) ** 2).reshape(-1, n).sum(axis=1)
+        err = math.sqrt(float(lane_sq.max()) / n)
 
         if err <= 1.0:
             s = s + h_step
             y = y_new
             f = k[6]  # FSAL
-            if guard is not None:
-                reason = guard(s, y)
-                if reason is not None:
-                    return records, (s, reason)
+            exited = guard(s, y.reshape(-1, n))
+            if exited is not None:
+                drop(exited)
+                lane_sq = None
             while ti < len(targets) and s >= targets[ti] - 1e-14 * max(1.0, targets[ti]):
-                records[targets[ti]] = y.copy()
+                records[ti, lanes] = y.reshape(-1, n)
                 ti += 1
             if ti >= len(targets):
-                return records, None
+                return records, exit_s, errors
             if clipped:
                 # A step shortened to land on a checkpoint reports an
                 # artificially tiny error; feeding it to the controller would
@@ -165,46 +217,59 @@ def _dp45(rhs, y0, checkpoints, rtol, atol, guard=None, max_steps=200_000):
             h = h_step * min(5.0, max(0.2, fac))
         else:
             h = h_step * max(0.2, 0.9 * err ** -0.2)
-    raise FlowIntegrationError("integration exceeded the step budget", s)
+    drop(np.ones(lanes.size, dtype=bool),
+         FlowIntegrationError("integration exceeded the step budget", s))
+    return records, exit_s, errors
 
 
-def _scaled_norm(v, sc) -> float:
-    return float(np.sqrt(np.mean(np.abs(v / sc) ** 2)))
+def _initial_step(y, f, n, rtol, atol, span):
+    """Smallest of the per-lane starting-step proposals over the remaining ``span``.
+
+    A lane proposes 0.01 times the ratio of its scaled state and derivative
+    norms; a lane whose state or derivative vanishes proposes nothing, and
+    with no proposal at all the step is 1e-6 of the span (at least of 1).
+    """
+    abs_y = np.abs(y)
+    sc = atol + rtol * abs_y
+    sq0 = ((abs_y / sc) ** 2).reshape(-1, n).sum(axis=1)
+    sq1 = ((np.abs(f) / sc) ** 2).reshape(-1, n).sum(axis=1)
+    ok = (sq0 > 0) & (sq1 > 0)
+    h = 0.01 * math.sqrt(float((sq0[ok] / sq1[ok]).min())) if ok.any() else 1e-6 * max(span, 1.0)
+    return max(min(h, span), 1e-12 * max(span, 1.0))
 
 
 def _make_rhs(gen, dims: Dims):
+    """The Riccati right-hand side on (k, d+1) lane states: R(psi), then F(psi)."""
     d = dims.d
 
-    def rhs(s, y):
-        psi = y[:d]
-        r_val = np.atleast_1d(np.asarray(gen.R(psi), dtype=np.complex128))
-        f_val = complex(gen.F(psi))
-        if r_val.shape != (d,):
-            raise FlowIntegrationError(f"generator R returned shape {r_val.shape}, expected ({d},)")
-        if not (np.all(np.isfinite(r_val.view(np.float64))) and math.isfinite(f_val.real) and math.isfinite(f_val.imag)):
-            raise FlowIntegrationError("generator returned a non-finite value", s)
-        out = np.empty(d + 1, dtype=np.complex128)
-        out[:d] = r_val
-        out[d] = f_val
-        return out
+    def rhs(s, y, out):
+        psi = y[:, :d]
+        r_val = gen.R(psi)
+        f_val = gen.F(psi)
+        try:
+            out[:, :d] = r_val
+            out[:, d] = f_val
+        except ValueError:
+            raise FlowIntegrationError(
+                f"generator returned R of shape {np.shape(r_val)} and F of shape "
+                f"{np.shape(f_val)}, expected ({len(y)}, {d}) and ({len(y)},)") from None
 
     return rhs
 
 
 def _make_guard(dims: Dims, tol: Tolerances):
-    d = dims.d
-    log_floor = math.log(tol.q_zero_eps)
+    """Mask of the lanes whose scalar factor vanished or whose psi left the half-space."""
+    # Bounds on the real parts of (psi, log phi): cone components at most
+    # region_eps, free components within region_eps of 0, log phi above the
+    # vanishing floor.
     eps = tol.region_eps
+    hi = np.array([eps] * dims.d + [np.inf])
+    lo = np.array([-np.inf] * dims.m + [-eps] * dims.n + [math.log(tol.q_zero_eps)])
 
     def guard(s, y):
-        if y[d].real < log_floor:
-            return "scalar factor vanished"
-        re = y[:d].real
-        if dims.m and np.max(re[dims.I]) > eps:
-            return "psi left the half-space (cone component)"
-        if dims.n and np.max(np.abs(re[dims.J])) > eps:
-            return "psi left the half-space (free component)"
-        return None
+        re = y.real
+        out = (re > hi) | (re < lo)
+        return out.any(axis=1) if out.any() else None
 
     return guard
 
@@ -214,46 +279,49 @@ def _exited(t: float, u_arr: np.ndarray, dims: Dims) -> FlowEvaluation:
     return FlowEvaluation(t, u_arr, np.nan + 0j, nan_psi, np.nan + 0j, in_Q=False)
 
 
-def _flow_column(gen, dims: Dims, u_arr: np.ndarray, times: list, tol: Tolerances):
-    """Integrate one argument through the ascending, nonnegative ``times``.
+def _flow_lanes(gen, dims: Dims, points: list, times: list, tol: Tolerances):
+    """Integrate the L arguments ``points`` through the ascending, nonnegative ``times``.
 
-    Returns one evaluation per time plus the integrator's halt (``None``, or
-    ``(s, reason)`` after a domain exit); times the integration did not reach
-    get NaN evaluations with ``in_Q=False``.
+    Returns :func:`_dp45`'s ``(records, exit_s, errors)``; a record holds psi
+    followed by log phi.
     """
-    checkpoints = [t for t in times if t > 0]
-    records, halt = {}, None
-    if checkpoints:
-        y0 = np.concatenate([u_arr, [0j]])
-        records, halt = _dp45(_make_rhs(gen, dims), y0, checkpoints, tol.ode_rel, tol.ode_abs,
-                              _make_guard(dims, tol))
-    evals = []
-    for t in times:
-        if t == 0:
-            evals.append(FlowEvaluation(0.0, u_arr, 1 + 0j, u_arr.copy(), 0j))
-        elif t in records:
-            y = records[t]
-            log_phi = complex(y[dims.d])
-            evals.append(FlowEvaluation(t, u_arr, complex(np.exp(log_phi)), y[: dims.d], log_phi))
-        else:
-            evals.append(_exited(t, u_arr, dims))
-    return evals, halt
+    y0 = np.zeros((len(points), dims.d + 1), dtype=np.complex128)
+    y0[:, : dims.d] = np.reshape(points, (-1, dims.d))
+    # A lane that goes non-finite is failed and reported on its own, so
+    # numpy's warnings about its values would only repeat that.
+    with np.errstate(invalid="ignore", over="ignore"):
+        return _dp45(_make_rhs(gen, dims), y0, times, tol.ode_rel, tol.ode_abs,
+                     _make_guard(dims, tol))
+
+
+def _evaluation(t: float, u_arr: np.ndarray, state: np.ndarray, dims: Dims) -> FlowEvaluation:
+    if t == 0:
+        return FlowEvaluation(0.0, u_arr, 1 + 0j, u_arr.copy(), 0j)
+    log_phi = complex(state[dims.d])
+    if math.isnan(log_phi.real):
+        return _exited(t, u_arr, dims)
+    return FlowEvaluation(t, u_arr, complex(np.exp(log_phi)), state[: dims.d].copy(), log_phi)
 
 
 def ode_flow(gen, dims: Dims, t: float, u, tol: Tolerances = Tolerances()) -> FlowEvaluation:
     """Evaluate the transform pair at a single (t, u) by Riccati integration.
 
-    ``u`` must lie in the admissible half-space; arguments outside it are
-    rejected rather than extended.  A domain exit before t is reported through
-    ``in_Q=False`` with the evaluation frozen at the exit time.
+    The one-lane case of :func:`flow_on_grid`.  ``u`` must lie in the
+    admissible half-space; arguments outside it are rejected rather than
+    extended.  A domain exit before t is reported through ``in_Q=False`` with
+    the evaluation frozen at the exit time.
     """
     u_arr = as_point(u, dims)
     if t < 0:
         raise ValueError("flow time must be nonnegative")
     if classify_region(u_arr, dims, tol) is Region.OUTSIDE:
         raise ValueError(f"transform argument {u_arr} lies outside the admissible half-space")
-    (ev,), halt = _flow_column(gen, dims, u_arr, [float(t)], tol)
-    return ev if halt is None else _exited(float(halt[0]), u_arr, dims)
+    states, exit_s, errors = _flow_lanes(gen, dims, [u_arr], [float(t)], tol)
+    if errors[0] is not None:
+        raise errors[0]
+    if not math.isnan(exit_s[0]):
+        return _exited(float(exit_s[0]), u_arr, dims)
+    return _evaluation(float(t), u_arr, states[0, 0], dims)
 
 
 @dataclass
@@ -276,11 +344,12 @@ class FlowGrid:
 
 
 def flow_on_grid(gen, dims: Dims, t_grid, u_grid, tol: Tolerances = Tolerances()) -> FlowGrid:
-    """Evaluate the flow on a product grid, one integration per u column.
+    """Evaluate the flow on a product grid in one integration over all u columns.
 
-    Each column integrates once through the sorted t checkpoints, so results
-    agree with pointwise :func:`ode_flow` to within the integration tolerance
-    while costing a single pass.
+    Every u column is a lane of one Dormand-Prince solve through the sorted
+    t checkpoints; a column that exits the domain or fails goes out of the
+    active set without holding up the others.  Results agree with pointwise
+    :func:`ode_flow` to within the integration tolerance.
     """
     ts = np.asarray(t_grid, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
@@ -288,20 +357,23 @@ def flow_on_grid(gen, dims: Dims, t_grid, u_grid, tol: Tolerances = Tolerances()
     if np.any(np.diff(ts) <= 0) or ts[0] < 0:
         raise ValueError("t_grid must be strictly increasing and nonnegative")
     points = [as_point(u, dims) for u in u_grid]
-
-    rows = [[None] * len(points) for _ in ts]
-    errors: list[tuple[int, int, str]] = []
-    times = [float(t) for t in ts]
     for j, u_arr in enumerate(points):
         if classify_region(u_arr, dims, tol) is Region.OUTSIDE:
             raise ValueError(f"u_grid[{j}] lies outside the admissible half-space")
-        try:
-            column, _halt = _flow_column(gen, dims, u_arr, times, tol)
-        except FlowIntegrationError as exc:
-            errors.extend((i, j, str(exc)) for i in range(len(times)))
+
+    times = [float(t) for t in ts]
+    try:
+        states, _exit_s, lane_errors = _flow_lanes(gen, dims, points, times, tol)
+    except FlowIntegrationError as exc:  # a malformed generator fails every column
+        states, lane_errors = None, [exc] * len(points)
+    rows = [[None] * len(points) for _ in times]
+    errors: list[tuple[int, int, str]] = []
+    for j, u_arr in enumerate(points):
+        if lane_errors[j] is not None:
+            errors.extend((i, j, str(lane_errors[j])) for i in range(len(times)))
             continue
-        for i, ev in enumerate(column):
-            rows[i][j] = ev
+        for i, t in enumerate(times):
+            rows[i][j] = _evaluation(t, u_arr, states[i, j], dims)
     return FlowGrid(ts, points, rows, errors)
 
 

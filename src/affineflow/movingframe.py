@@ -373,8 +373,10 @@ def frame_pipeline(model: AffineModel, t: float, u_set, x0, n_paths: int,
             p_values.append(p_ext)
             q_values.append(q_ext)
             state_lists.append(states)
-            p_ex, q_ex, _ = pq_extrapolate(flow_src, frame, t, u, N_schedule, tol,
-                                           scheme="exact")
+            # only the folded states are reported, so the exact scheme runs
+            # just the two largest N that enter its extrapolant
+            p_ex, q_ex, _ = pq_extrapolate(flow_src, frame, t, u, sorted(N_schedule)[-2:],
+                                           tol, scheme="exact")
             p_endpoint.append(p_ex)
             q_endpoint.append(q_ex)
     except (FrameRecursionError, FlowIntegrationError, ValueError) as exc:

@@ -218,9 +218,8 @@ def riccati_consistency(flow_source, gen, t: float, u, quad_nodes: int = 12,
         psi_at = np.empty((ss.size, u_arr.size), dtype=np.complex128)
         for rank, idx in enumerate(order):
             psi_at[idx] = evals[rank][0].psi
-        r_vals = np.stack([np.atleast_1d(np.asarray(gen.R(p), dtype=np.complex128))
-                           for p in psi_at])
-        f_vals = np.array([complex(gen.F(p)) for p in psi_at])
+        r_vals = np.broadcast_to(gen.R(psi_at), psi_at.shape)
+        f_vals = np.broadcast_to(gen.F(psi_at), psi_at.shape[:1])
         return ws @ r_vals, complex(ws @ f_vals)
 
     n_panels = 1

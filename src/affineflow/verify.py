@@ -133,21 +133,25 @@ def check_semiflow(flow_source, t_grid, s_grid, u_set, threshold: float = 1e-8) 
     source = as_flow_source(flow_source)
     ts = sorted({float(t) for t in t_grid})
     ss = sorted({float(s) for s in s_grid})
+    u_set = list(u_set)
+    sums = sorted({t + s for t in ts for s in ss})
+    base_times = sorted(set(ts) | set(ss) | set(sums))
+    inner_times = sorted(set(ts) | set(ss))
+    base = source.on_grid(base_times, u_set)
     entries = []
     max_violation = 0.0
-    for u in u_set:
-        sums = sorted({t + s for t in ts for s in ss})
-        base_times = sorted(set(ts) | set(ss) | set(sums))
-        column = {ev.t: ev for row in source.on_grid(base_times, [u]) for ev in row}
-        inner_t = {t: source.on_grid(ss, [column[t].psi]) for t in ts}
-        inner_s = {s: source.on_grid(ts, [column[s].psi]) for s in ss}
-        for t in ts:
+    for j, u in enumerate(u_set):
+        column = {t: row[j] for t, row in zip(base_times, base)}
+        # one inner call per u: lane a starts at psi(t_a, u), lane len(ts) + b at psi(s_b, u)
+        starts = [column[t].psi for t in ts] + [column[s].psi for s in ss]
+        inner = dict(zip(inner_times, source.on_grid(inner_times, starts)))
+        for i_t, t in enumerate(ts):
             for i_s, s in enumerate(ss):
                 direct = column[t + s]
-                stepped = inner_t[t][i_s][0]
+                stepped = inner[s][i_t]
                 v_phi = abs(direct.phi - column[t].phi * stepped.phi)
                 v_psi = float(np.max(np.abs(direct.psi - stepped.psi)))
-                mirrored = inner_s[s][ts.index(t)][0]
+                mirrored = inner[t][len(ts) + i_s]
                 v_phi_m = abs(direct.phi - column[s].phi * mirrored.phi)
                 v_psi_m = float(np.max(np.abs(direct.psi - mirrored.psi)))
                 v = max(v_phi, v_psi, v_phi_m, v_psi_m)
@@ -163,7 +167,7 @@ def check_semiflow(flow_source, t_grid, s_grid, u_set, threshold: float = 1e-8) 
                     }))
     return CheckReport(
         "semiflow",
-        f"t_grid={ts}, s_grid={ss}, {len(list(u_set))} u points, both orders",
+        f"t_grid={ts}, s_grid={ss}, {len(u_set)} u points, both orders",
         max_violation,
         threshold,
         _top_witnesses(entries),
@@ -180,17 +184,22 @@ def check_monotonicity(flow_source, t_grid, pairs, threshold: float = 1e-8) -> C
     the same violation measure.
     """
     source = as_flow_source(flow_source)
-    entries = []
-    max_violation = 0.0
-    for u, w in pairs:
-        u_arr = np.asarray(u, dtype=np.complex128)
-        w_arr = np.asarray(w, dtype=np.complex128)
+    pairs = [(np.asarray(u, dtype=np.complex128), np.asarray(w, dtype=np.complex128))
+             for u, w in pairs]
+    for u_arr, w_arr in pairs:
         if np.any(u_arr.real > w_arr.real + 1e-14):
             raise ValueError(f"pair ({u_arr}, {w_arr}) violates Re u <= Re w")
-        w_real = w_arr.real.astype(np.complex128)
-        for t in t_grid:
-            ev_u = source.at(float(t), u_arr)
-            ev_w = source.at(float(t), w_real)
+    t_list = [float(t) for t in t_grid]
+    times = sorted(set(t_list))
+    # lane p is u of pair p, lane len(pairs) + p the real upper argument Re w
+    rows = source.on_grid(times, [u for u, _ in pairs] +
+                          [w.real.astype(np.complex128) for _, w in pairs])
+    entries = []
+    max_violation = 0.0
+    for p, (u_arr, w_arr) in enumerate(pairs):
+        for t in t_list:
+            row = rows[times.index(t)]
+            ev_u, ev_w = row[p], row[len(pairs) + p]
             realness = max(abs(ev_w.phi.imag), float(np.max(np.abs(ev_w.psi.imag), initial=0.0)))
             v_phi = abs(ev_u.phi) - ev_w.phi.real
             v_psi = float(np.max(ev_u.psi.real - ev_w.psi.real, initial=-np.inf))
@@ -198,13 +207,13 @@ def check_monotonicity(flow_source, t_grid, pairs, threshold: float = 1e-8) -> C
             max_violation = max(max_violation, v)
             if v > threshold:
                 entries.append((v, {
-                    "inputs": {"t": float(t), "u": u_arr, "w": w_arr},
+                    "inputs": {"t": t, "u": u_arr, "w": w_arr},
                     "observed": {"phi_excess": v_phi, "psi_excess": v_psi, "imag_leak": realness},
                     "expected": f"<= {threshold}",
                 }))
     return CheckReport(
         "monotonicity",
-        f"{len(list(t_grid))} times x {len(list(pairs))} pairs",
+        f"{len(t_list)} times x {len(pairs)} pairs",
         max_violation,
         threshold,
         _top_witnesses(entries),
@@ -226,9 +235,10 @@ def check_property_A(flow_source, t_grid, u_set, dims: Dims,
     entries = []
     max_violation = 0.0
     times = sorted(float(t) for t in t_grid if t > 0)
-    for u in u_set:
-        for row in source.on_grid(times, [u]):
-            ev = row[0]
+    rows = source.on_grid(times, u_set) if times else []
+    for j, u in enumerate(u_set):
+        for row in rows:
+            ev = row[j]
             v = 0.0
             if not ev.in_Q:
                 v = math.inf
@@ -388,24 +398,36 @@ def posdef_certificate(theta: Callable[[np.ndarray], complex], probe_pairs,
     first two.
     """
     probe_pairs = list(probe_pairs)
+    points = _posdef_points(probe_pairs)
+    return _posdef_report(probe_pairs, [theta(p) for p in points], threshold)
+
+
+def _posdef_points(probe_pairs) -> list[np.ndarray]:
+    """Where :func:`posdef_certificate` evaluates theta: 0, then y, z, y+z, -y, -z, -y-z per pair."""
     if not probe_pairs:
         raise ValueError("need at least one probe pair")
-    zero = np.zeros_like(np.asarray(probe_pairs[0][0], dtype=float))
-    th0 = complex(theta(zero))
+    points = [np.zeros_like(np.asarray(probe_pairs[0][0], dtype=float))]
+    for y, z in probe_pairs:
+        y_arr = np.asarray(y, dtype=float)
+        z_arr = np.asarray(z, dtype=float)
+        points += [y_arr, z_arr, y_arr + z_arr, -y_arr, -z_arr, -y_arr - z_arr]
+    return points
+
+
+def _posdef_report(probe_pairs, values, threshold: float) -> CheckReport:
+    """The matrix tests of :func:`posdef_certificate` on theta's values at :func:`_posdef_points`."""
+    th0 = complex(values[0])
     if abs(th0 - 1.0) > 1e-12:
         raise ValueError(f"theta(0) must equal 1 (got {th0})")
     entries = []
     max_violation = -math.inf
-    for y, z in probe_pairs:
-        y_arr = np.asarray(y, dtype=float)
-        z_arr = np.asarray(z, dtype=float)
-        ty, tz = complex(theta(y_arr)), complex(theta(z_arr))
-        tyz = complex(theta(y_arr + z_arr))
+    for i, (y, z) in enumerate(probe_pairs):
+        ty, tz, tyz, t_my, t_mz, t_myz = (complex(v) for v in values[1 + 6 * i: 7 + 6 * i])
         # points t = (0, y, -z); entry (i, j) is theta(t_i - t_j)
         m = np.array([
-            [th0, complex(theta(-y_arr)), tz],
+            [th0, t_my, tz],
             [ty, th0, tyz],
-            [complex(theta(-z_arr)), complex(theta(-y_arr - z_arr)), th0],
+            [t_mz, t_myz, th0],
         ])
         ineq = abs(tyz - ty * tz) ** 2 - (1 - abs(ty) ** 2) * (1 - abs(tz) ** 2)
         det = float(np.linalg.det(m).real)
@@ -415,7 +437,7 @@ def posdef_certificate(theta: Callable[[np.ndarray], complex], probe_pairs,
         max_violation = max(max_violation, v)
         if v > threshold:
             entries.append((v, {
-                "inputs": {"y": y_arr, "z": z_arr},
+                "inputs": {"y": np.asarray(y, dtype=float), "z": np.asarray(z, dtype=float)},
                 "observed": {"product_inequality": ineq, "det": det,
                              "min_eigenvalue": min_eig, "hermitian_defect": herm_defect},
                 "expected": f"all tests >= -{threshold} (defect <= {threshold})",

@@ -1,8 +1,10 @@
 """The benchmark's tracer binds to package names; keep them resolvable.
 
-``perfbench/tracer.py`` wraps every function named in its ``SPANNED`` table
-and reads each sampler's ``sample_chunk`` arguments by position.  A rename
-or deletion would otherwise surface only when a traced benchmark pass fails.
+``perfbench/tracer.py`` wraps every function named in its ``SPANNED`` table,
+reads each sampler's ``sample_chunk`` arguments by position and counts flow
+solves from ``flow_on_grid``'s arguments and result.  A rename, a moved
+argument or a renamed field would otherwise surface only when a traced
+benchmark pass fails.
 """
 
 import importlib
@@ -10,9 +12,11 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from affineflow import models
+from affineflow import flow, models
+from affineflow.core import Dims
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -39,3 +43,19 @@ def test_sample_chunk_takes_x0_times_rngs(tracer):
     for cls in samplers:
         params = list(inspect.signature(cls.sample_chunk).parameters)
         assert params == ["self", "x0", "times", "rngs"], cls.__name__
+
+
+def test_flow_on_grid_hook_reads_u_grid_evals_and_errors(tracer):
+    assert list(inspect.signature(flow.flow_on_grid).parameters)[3] == "u_grid"
+
+    def F(u):  # lane 0 ordinary, lane 1 exits (F = -1200), lane 2 goes non-finite
+        u0 = u[..., 0]
+        return np.where(u0.imag > 0.5, np.nan, np.where(u0.real < -1.5, -1200.0, -1.0)) + 0j
+
+    gen = models.GeneratorPair(F=F, R=lambda u: np.zeros(np.shape(u), dtype=np.complex128))
+    args = (gen, Dims(1, 0), [0.0, 1.0], [np.array([-1.0]), np.array([-2.0]), np.array([-1.0 + 1j])])
+    grid = flow.flow_on_grid(*args)
+    t = tracer.Tracer()
+    with t.operation("op"):
+        assert t._after_flow_on_grid(args, {}, grid) is grid
+    assert (t.counters["flow.solves"], t.counters["flow.exits"], t.counters["flow.errors"]) == (3, 1, 1)

@@ -119,6 +119,7 @@ def test_malformed_config_file(tmp_path, capsys):
     "model.bogus = 2",    # no such factory argument
     "model.name = cirr",  # no such model
     "model.a = -1",       # the factory rejects the value
+    "model.a = 1.0, 2.0",  # a list where the factory takes a real number
 ])
 def test_bad_model_spec_is_config_error(tmp_path, capsys, line):
     key = line.split("=")[0].strip()
@@ -363,6 +364,19 @@ def test_frame_with_impossible_grid_is_numerical_failure(tmp_path, capsys):
     code = main(["frame", "--config", cfg, "--out", str(tmp_path / "out")])
     assert code == EXIT_NUMERICAL
     assert "numerical failure:" in capsys.readouterr().err
+
+
+def test_programming_error_in_a_check_is_not_a_numerical_failure(tmp_path, monkeypatch):
+    """Only the package's numerical error types map to exit 3; a bug keeps its traceback."""
+    from affineflow import cli
+
+    def broken(cfg, model, source, seed):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setitem(cli.CHECKS, "semiflow", broken)
+    cfg = write_cfg(tmp_path, CIR_FAST)
+    with pytest.raises(ValueError, match="broadcast"):
+        main(["verify", "--config", cfg, "--checks", "semiflow", "--out", str(tmp_path / "out")])
 
 
 def test_frame_rejects_non_imaginary_u(tmp_path, capsys):

@@ -19,7 +19,7 @@ from affineflow.flow import (
     matrix_exp,
     ode_flow,
 )
-from affineflow.models import GeneratorPair, make_cir, make_levy
+from affineflow.models import GeneratorPair, make_cir, make_heston_like, make_levy
 
 
 def _gap(a: FlowEvaluation, b: FlowEvaluation) -> float:
@@ -156,7 +156,7 @@ def test_flow_on_grid_hard_error_stays_in_column():
     """A generator that goes non-finite on one column must not poison the others."""
 
     def F(u):
-        return np.nan + 0j if u[0].imag > 0.5 else -1.0 + 0j
+        return np.where(u[..., 0].imag > 0.5, np.nan, -1.0) + 0j
 
     gen = GeneratorPair(F=F, R=lambda u: np.zeros(1, dtype=np.complex128))
     us = [np.array([-1.0 + 0j]), np.array([-1.0 + 1j])]
@@ -234,3 +234,133 @@ def test_closed_cir_flow_is_a_semigroup(t, s, re_u, im_u):
     assert np.all(np.abs(outer.psi - direct.psi) < 1e-12)
     # scalar factors multiply along the composition
     assert abs(inner.phi * outer.phi - direct.phi) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the lane engine: every u column of a call is one lane of one solve
+
+_TIGHT = Tolerances(ode_rel=1e-12, ode_abs=1e-14)
+
+
+def _tagged_gen():
+    """psi' = -psi/2 on one cone component; lanes are told apart by Im u.
+
+    |Im u| <= 2 is ordinary; Im u < -5 has F = -1200, so the scalar factor
+    vanishes at t ~ 0.576; Im u > 5 turns non-finite once Im psi = Im u e^{-t/2}
+    falls to 12, which for Im u = 20 happens at t ~ 1.02.
+    """
+
+    def F(u):
+        u0 = u[..., 0]
+        ordinary = 0.3 * u0 + 0.1 * u0 * u0
+        return np.where(u0.imag < -5, -1200.0 + 0j,
+                        np.where((u0.imag > 5) & (u0.imag <= 12), np.nan + 0j, ordinary))
+
+    return GeneratorPair(F=F, R=lambda u: -0.5 * u)
+
+
+def test_mixed_lane_batch_isolates_exits_and_failures():
+    gen, dims = _tagged_gen(), Dims(1, 0)
+    times = [0.0, 0.25, 0.5, 1.0, 1.5, 2.0]
+    us = [np.array([-1.0 + 0.5j]), np.array([-0.5 - 20j]), np.array([-0.3 - 1.5j]),
+          np.array([-0.5 + 20j]), np.array([-2.0 + 0j])]
+    grid = flow_on_grid(gen, dims, times, us, _TIGHT)
+    # the non-finite lane fails alone, in every row of its column
+    assert sorted((i, j) for i, j, _ in grid.errors) == [(i, 3) for i in range(len(times))]
+    assert all("non-finite" in msg for *_, msg in grid.errors)
+    assert all(row[3] is None for row in grid.evals)
+    # the exiting lane answers in_Q=False from its exit on
+    assert [ev.in_Q for ev in grid.column(1)] == [True, True, True, False, False, False]
+    assert np.isnan(grid.column(1)[-1].phi.real)
+    # every ordinary lane matches its own one-lane solve
+    for j in (0, 2, 4):
+        alone = flow_on_grid(gen, dims, times, [us[j]], _TIGHT)
+        assert not alone.errors
+        for ev, ref in zip(grid.column(j), alone.column(0)):
+            assert ev.in_Q and _gap(ev, ref) < 1e-10
+
+
+def test_step_underflow_fails_only_the_lane_that_forces_it():
+    """psi' = i psi^2 on a free component: u = -i blows up at t = 1, u = 0.5i does not."""
+    gen = GeneratorPair(F=lambda u: 0.2 * u[..., 0], R=lambda u: 1j * u * u)
+    dims = Dims(0, 1)
+    us = [np.array([0.5j]), np.array([-1j]), np.array([0.25j])]
+    times = [0.5, 1.5, 2.0]
+    grid = flow_on_grid(gen, dims, times, us, _TIGHT)
+    assert {j for _, j, _ in grid.errors} == {1}
+    assert all("underflow" in msg for *_, msg in grid.errors)
+    for j in (0, 2):
+        y0 = us[j][0].imag
+        for ev in grid.column(j):
+            assert ev.in_Q and abs(ev.psi[0] - 1j * y0 / (1 + y0 * ev.t)) < 1e-9
+        alone = flow_on_grid(gen, dims, times, [us[j]], _TIGHT)
+        assert all(_gap(ev, ref) < 1e-10 for ev, ref in zip(grid.column(j), alone.column(0)))
+
+
+def test_catalog_generators_act_on_argument_stacks(catalog):
+    """F and R on an (L, d) stack equal their row-by-row values."""
+    rng = np.random.default_rng(7)
+    for name, model in catalog.items():
+        d = model.dims.d
+        stack = rng.uniform(-2.0, 0.0, (6, d)) + 1j * rng.uniform(-3.0, 3.0, (6, d))
+        f_all, r_all = model.gen.F(stack), model.gen.R(stack)
+        assert np.shape(f_all) == (6,) and np.shape(r_all) == (6, d), name
+        for j in range(6):
+            np.testing.assert_allclose(f_all[j], model.gen.F(stack[j]), rtol=1e-14, atol=0)
+            np.testing.assert_allclose(r_all[j], model.gen.R(stack[j]), rtol=1e-14, atol=0)
+
+
+
+def _assert_matches_closed(model, times, us):
+    grid = flow_on_grid(model.gen, model.dims, times, us, _TIGHT)
+    assert not grid.errors
+    for i, t in enumerate(times):
+        for j, u in enumerate(us):
+            ev, ref = grid.evals[i][j], model.closed_flow(t, u)
+            if not ev.in_Q:  # the scalar factor fell through the vanishing floor
+                assert ref.log_phi.real < math.log(Tolerances().q_zero_eps) + 50
+                continue
+            assert abs(ev.log_phi - ref.log_phi) <= 1e-6 * max(1.0, abs(ref.log_phi)), (t, u)
+            assert np.all(np.abs(ev.psi - ref.psi) <= 1e-6 * np.maximum(1.0, np.abs(ref.psi))), (t, u)
+
+
+_T = st.floats(min_value=0.05, max_value=10.0)
+_RE = st.floats(min_value=-30.0, max_value=0.0)
+_IM = st.floats(min_value=-30.0, max_value=30.0)
+
+
+@given(st.floats(0.0, 3.0), st.sampled_from([0.0, 0.3, 1.0, 2.5]), st.floats(0.2, 2.0), _T,
+       st.lists(st.tuples(_RE, _IM), min_size=1, max_size=4))
+@settings(max_examples=25, deadline=None)
+def test_batched_flow_matches_closed_cir(a, b, sigma, t, args):
+    model = make_cir(a, b, sigma)
+    us = [np.array([complex(re, im)]) for re, im in args]
+    _assert_matches_closed(model, [0.0, 0.5 * t, t], us)
+
+
+@given(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(0.0, 1.0), st.floats(-0.9, 0.9), _T,
+       st.lists(st.tuples(_IM, _IM), min_size=1, max_size=4))
+@settings(max_examples=25, deadline=None)
+def test_batched_flow_matches_closed_levy(m1, m2, v, c, t, args):
+    cov = 0.8 * np.array([[v, c * v], [c * v, v]]) + 0.05 * np.eye(2)
+    model = make_levy([m1, m2], cov)
+    us = [np.array([1j * y1, 1j * y2]) for y1, y2 in args]
+    _assert_matches_closed(model, [0.0, 0.5 * t, t], us)
+
+
+@given(st.floats(0.0, 2.0), st.floats(-1.0, 2.0), st.floats(0.2, 1.5),
+       st.sampled_from([-1.0, -0.7, 0.0, 0.5, 1.0]), _T,
+       st.lists(st.tuples(_RE, _IM, _IM), min_size=1, max_size=3),
+       st.sampled_from([0.0, 1e-15, 1e-9, 1e-3]))
+@settings(max_examples=40, deadline=None)
+def test_batched_flow_matches_closed_heston(a, b, sigma, rho, t, args, eps):
+    """Random arguments plus the closed form's special branches.
+
+    With b = 0, u2 = 0 makes the root pair double (and |rho| = 1 makes it
+    double for every u2); with b <= 0, u2 = 0 puts the root r+ at 0, so
+    u1 = -eps sits on it (eps < 1e-14) or next to it.
+    """
+    model = make_heston_like(a, b, sigma, rho, lam=0.0)
+    us = [np.array([complex(re, im1), 1j * im2]) for re, im1, im2 in args]
+    us += [np.array([complex(args[0][0], args[0][1]), 0j]), np.array([-eps + 0j, 0j])]
+    _assert_matches_closed(model, [0.0, 0.5 * t, t], us)
