@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import Dims, as_state
 from .flow import FlowEvaluation
-from .models import AffineModel, sample_grid
+from .models import AffineModel, _sub_seeds, sample_grid
 from .verify import CheckReport, _top_witnesses
 
 __all__ = [
@@ -100,10 +100,6 @@ def _as_state_source(source):
     raise TypeError(f"cannot interpret {source!r} as a model or state source")
 
 
-def _probe_seeds(seed: int, count: int) -> list[int]:
-    return [int(s) for s in np.random.SeedSequence(seed).generate_state(count, np.uint32)]
-
-
 def affine_factorization_test(source, dims: Dims, t: float, u_list, x_base, x_probe_a,
                               x_probe_b, n_paths: int, seed: int,
                               threshold: float = STAT_SIGMA) -> CheckReport:
@@ -123,7 +119,7 @@ def affine_factorization_test(source, dims: Dims, t: float, u_list, x_base, x_pr
     if dims.m and np.min(xc[dims.I]) < 0:
         raise ValueError(f"fourth corner {xc} leaves the state cone; move the probes")
     corners = [x0, xa, xb, xc]
-    seeds = _probe_seeds(seed, 4)
+    seeds = _sub_seeds(seed, 4)
     times = np.array([0.0, float(t)])
     states = [src(c, times, n_paths, s)[:, -1, :] for c, s in zip(corners, seeds)]
 
@@ -156,14 +152,13 @@ def affine_factorization_test(source, dims: Dims, t: float, u_list, x_base, x_pr
     )
 
 
-def recover_phi_psi(source, dims: Dims, t_grid, u, n_paths: int, seed: int,
-                    probe_scale: float = 1.0) -> list[FlowEvaluation]:
+def recover_phi_psi(source, dims: Dims, t_grid, u, n_paths: int, seed: int) -> list[FlowEvaluation]:
     """Recover the transform pair on a time grid from simulated samples.
 
-    Starts paths at the origin and at ``probe_scale`` times each coordinate
-    vector; because the log-transform is affine in the start, the difference
-    quotient recovers each fiber-map component without discretization bias,
-    and the origin start gives the scalar factor directly.  The log phase is
+    Starts paths at the origin and at each coordinate unit vector; because
+    the log-transform is affine in the start, the difference quotient
+    recovers each fiber-map component without discretization bias, and the
+    origin start gives the scalar factor directly.  The log phase is
     unwrapped along the grid (which must begin at 0, where the transform is
     known exactly); a post-unwrap jump above pi/2 means the grid is too
     coarse to track the branch and raises :class:`BranchContinuityError`.
@@ -175,15 +170,9 @@ def recover_phi_psi(source, dims: Dims, t_grid, u, n_paths: int, seed: int,
     ts = np.asarray(t_grid, dtype=float)
     if ts.ndim != 1 or ts.size < 1 or ts[0] != 0.0 or np.any(np.diff(ts) <= 0):
         raise ValueError("t_grid must be increasing and start at 0 to anchor the branch")
-    if probe_scale <= 0:
-        raise ValueError("probe_scale must be positive")
 
-    starts = [np.zeros(dims.d)]
-    for k in range(dims.d):
-        e = np.zeros(dims.d)
-        e[k] = probe_scale
-        starts.append(e)
-    seeds = _probe_seeds(seed, len(starts))
+    starts = [np.zeros(dims.d), *np.eye(dims.d)]
+    seeds = _sub_seeds(seed, len(starts))
     estimates = []  # [start][time] -> EcfEstimate
     for x0, s in zip(starts, seeds):
         values = src(x0, ts, n_paths, s)
@@ -206,13 +195,10 @@ def recover_phi_psi(source, dims: Dims, t_grid, u, n_paths: int, seed: int,
     for i, t in enumerate(ts):
         g0 = estimates[0][i]
         log_phi = complex(logs[0][i])
-        psi = np.array([
-            (logs[1 + k][i] - logs[0][i]) / probe_scale for k in range(dims.d)
-        ])
+        psi = np.array([logs[1 + k][i] - logs[0][i] for k in range(dims.d)])
         rel0 = g0.stderr / abs(g0.value)
         psi_stderr = np.array([
             math.sqrt(rel0**2 + (estimates[1 + k][i].stderr / abs(estimates[1 + k][i].value)) ** 2)
-            / probe_scale
             for k in range(dims.d)
         ])
         in_q = abs(g0.value) >= 5.0 * g0.stderr
@@ -224,8 +210,7 @@ def recover_phi_psi(source, dims: Dims, t_grid, u, n_paths: int, seed: int,
 
 
 def semihomogeneity_test(source, dims: Dims, t: float, u, n_paths: int, seed: int,
-                         probe_scale: float = 1.0, threshold: float = STAT_SIGMA,
-                         ) -> CheckReport:
+                         threshold: float = STAT_SIGMA) -> CheckReport:
     """Sample-based test that the free components of the fiber map are unmoved.
 
     Recovers the free fiber-map components from difference quotients of the
@@ -236,8 +221,7 @@ def semihomogeneity_test(source, dims: Dims, t: float, u, n_paths: int, seed: in
     """
     if dims.n == 0:
         return CheckReport("semihomogeneity", "no free components (n=0), vacuous", 0.0, threshold)
-    evals = recover_phi_psi(source, dims, [0.0, float(t)], u, n_paths, seed,
-                            probe_scale=probe_scale)
+    evals = recover_phi_psi(source, dims, [0.0, float(t)], u, n_paths, seed)
     ev = evals[-1]
     u_arr = ev.u
     entries = []
@@ -256,7 +240,7 @@ def semihomogeneity_test(source, dims: Dims, t: float, u, n_paths: int, seed: in
             }))
     return CheckReport(
         "semihomogeneity",
-        f"t={t}, {n_paths} paths per start, probe scale {probe_scale}",
+        f"t={t}, {n_paths} paths per start, probe scale 1.0",
         max_z,
         threshold,
         _top_witnesses(entries),

@@ -3,9 +3,11 @@
 Three affine families cover the state-space shapes (pure free part, pure cone,
 mixed), plus a deliberately non-affine control process used to falsify the
 statistical checks.  ``sample_grid`` is the one way to draw paths: path p
-draws from its own RNG stream, derived by seed-sequence spawning from
-``(seed, p)``, and the sampler runs on blocks of ``CHUNK_PATHS`` paths, so
-results are bit-for-bit reproducible and independent of how paths are batched.
+draws from the PCG64 stream of ``SeedSequence(entropy=seed, spawn_key=(p,))``,
+and the sampler runs on blocks of ``CHUNK_PATHS`` paths, so results are
+bit-for-bit reproducible and independent of how paths are batched.  The
+streams of a block are seeded together (``_stream_words``: one vectorised
+pass of SeedSequence's hash), and path indices must be below 2**32.
 """
 
 from __future__ import annotations
@@ -76,6 +78,14 @@ class AffineModel:
 # samplers
 
 
+def _normal_block(rngs, shape) -> np.ndarray:
+    """Standard normals of shape (len(rngs), *shape); row p comes from stream p alone."""
+    out = np.empty((len(rngs), *shape))
+    for p, rng in enumerate(rngs):
+        rng.standard_normal(out=out[p])
+    return out
+
+
 class GaussianIncrementSampler:
     """Exact transitions for the homogeneous Gaussian model (pure free part)."""
 
@@ -87,12 +97,11 @@ class GaussianIncrementSampler:
         dts = np.diff(times)
         sqdt = np.sqrt(dts)
         d = len(x0)
+        xi = _normal_block(rngs, (len(dts), d))
+        incr = dts[:, None] * self.drift + (xi @ self.scale.T) * sqdt[:, None]
         out = np.empty((len(rngs), len(times), d))
         out[:, 0] = x0
-        for p, rng in enumerate(rngs):
-            xi = rng.standard_normal((len(dts), d))
-            incr = dts[:, None] * self.drift + (xi @ self.scale.T) * sqdt[:, None]
-            out[p, 1:] = x0 + np.cumsum(incr, axis=0)
+        out[:, 1:] = x0 + np.cumsum(incr, axis=1)
         return out
 
 
@@ -160,9 +169,7 @@ class HestonEulerSampler:
         dts, counts = self._substep_plan(times)
         total = int(np.sum(counts))
         c = len(rngs)
-        noise = np.empty((c, total, 2))
-        for p, rng in enumerate(rngs):
-            noise[p] = rng.standard_normal((total, 2))
+        noise = _normal_block(rngs, (total, 2))
 
         out = np.empty((c, len(times), 2))
         out[:, 0, 0] = x0[0]
@@ -197,11 +204,10 @@ class SquaredStartBrownianSampler:
     def sample_chunk(self, x0, times, rngs):
         dts = np.diff(times)
         sqdt = np.sqrt(dts)
+        xi = _normal_block(rngs, (len(dts),))
         out = np.empty((len(rngs), len(times), 1))
         out[:, 0, 0] = x0[0]
-        base = x0[0] ** 2
-        for p, rng in enumerate(rngs):
-            out[p, 1:, 0] = base + np.cumsum(rng.standard_normal(len(dts)) * sqdt)
+        out[:, 1:, 0] = x0[0] ** 2 + np.cumsum(xi * sqdt, axis=1)
         return out
 
 
@@ -324,11 +330,13 @@ def _heston_closed_factory(a, b, sigma, rho):
         u1, u2 = u_arr
         B = rho * sigma * u2 - b
         C = 0.5 * u2 * u2
-        d = np.sqrt(B * B - 4.0 * A * C)
+        disc = B * B - 4.0 * A * C
+        d = np.sqrt(disc)
         if d.real < 0:
             d = -d
-        if abs(d) < 1e-13 * max(1.0, abs(B)):
-            # double root
+        if abs(disc) <= 64.0 * np.finfo(float).eps * max(1.0, abs(B)) ** 2:
+            # double root up to rounding: the flow is even in d, so d = 0 errs
+            # by O(d^2 t^2) where the general branch would cancel digits away
             r = -B / (2.0 * A)
             denom = 1.0 - A * (u1 - r) * t
             psi1 = r + (u1 - r) / denom
@@ -448,16 +456,69 @@ def uniform_times(horizon: float, grid_step: float) -> np.ndarray:
 CHUNK_PATHS = 4096
 
 
-def _path_stream(seed, index: int) -> np.random.SeedSequence:
-    """The ``index``-th spawned child of ``seed``, built without spawning predecessors.
+# numpy's SeedSequence hash constants (``numpy/random/bit_generator.pyx``).
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
-    Equivalent to ``SeedSequence(seed).spawn(index + 1)[index]`` — spawn-key
-    children are addressable directly, which lets callers materialize any
-    slice of the path streams without paying for the whole family.
+
+def _n_words(x) -> int:
+    """How many uint32 words SeedSequence makes of an int or a (nested) sequence of ints."""
+    if isinstance(x, (int, np.integer)):
+        return max(1, -(-int(x).bit_length() // 32))
+    return sum(_n_words(v) for v in x)
+
+
+def _stream_words(seed, lo: int, hi: int) -> np.ndarray:
+    """PCG64 seed words of the path streams ``lo, ..., hi-1``, shape (hi - lo, 4).
+
+    Row ``p - lo`` equals ``SeedSequence(entropy=root.entropy,
+    spawn_key=root.spawn_key + (p,)).generate_state(4, np.uint64)`` for
+    ``root = SeedSequence(seed)``, computed for all p at once: the child's
+    entropy is the root's plus the one word p, so its pool is the root's pool
+    with p hash-mixed into each word, and its state is the output hash of
+    that pool.  Path indices must fit one word.
     """
+    if hi - 1 > _MASK32:
+        raise ValueError(f"path index {hi - 1} is past 2**32 - 1")
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return np.random.SeedSequence(entropy=root.entropy,
-                                  spawn_key=tuple(root.spawn_key) + (index,))
+    root = np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key)  # children's pool size
+    # hashing the child's first n entropy words takes the mixing constant through 4n steps
+    hash_a = _INIT_A * pow(_MULT_A, 4 * (max(4, _n_words(root.entropy)) + _n_words(root.spawn_key)),
+                           1 << 32) & _MASK32
+    p = np.arange(lo, hi, dtype=np.uint32)
+    pool = np.empty((hi - lo, 4), dtype=np.uint32)
+    for i in range(4):
+        h_in, hash_a = hash_a, hash_a * _MULT_A & _MASK32
+        mixed = (p ^ np.uint32(h_in)) * np.uint32(hash_a)
+        mixed ^= mixed >> 16
+        word = np.uint32(_MIX_MULT_L * int(root.pool[i]) & _MASK32) - np.uint32(_MIX_MULT_R) * mixed
+        pool[:, i] = word ^ (word >> 16)
+    state = np.empty((hi - lo, 8), dtype=np.uint32)
+    hash_b = _INIT_B
+    for i in range(8):
+        h_in, hash_b = hash_b, hash_b * _MULT_B & _MASK32
+        word = (pool[:, i % 4] ^ np.uint32(h_in)) * np.uint32(hash_b)
+        state[:, i] = word ^ (word >> 16)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _StreamSeed(np.random.bit_generator.ISeedSequence):
+    """A path stream's precomputed seed words, handed to PCG64 as its seed sequence."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _sub_seeds(seed, count: int) -> list[int]:
+    """``count`` independent integer seeds derived from ``seed`` (one per start or stage)."""
+    return [int(s) for s in np.random.SeedSequence(seed).generate_state(count, np.uint32)]
 
 
 def sample_grid(model: AffineModel, x0, record_times, n_paths: int, seed,
@@ -468,6 +529,7 @@ def sample_grid(model: AffineModel, x0, record_times, n_paths: int, seed,
     ``path_offset + p`` and consumes that path's stream alone, so the result
     equals rows [offset, offset+n) of a run from offset 0 bit for bit, and
     neither ``CHUNK_PATHS`` nor slicing a big ensemble changes any value.
+    Path indices past 2**32 - 1 are a ``ValueError``.
     """
     times = np.asarray(record_times, dtype=float)
     if times.ndim != 1 or len(times) < 2 or times[0] != 0.0 or np.any(np.diff(times) <= 0):
@@ -481,7 +543,8 @@ def sample_grid(model: AffineModel, x0, record_times, n_paths: int, seed,
     out = np.empty((n_paths, len(times), model.dims.d))
     for lo in range(0, n_paths, CHUNK_PATHS):
         hi = min(lo + CHUNK_PATHS, n_paths)
-        rngs = [np.random.default_rng(_path_stream(seed, path_offset + p)) for p in range(lo, hi)]
+        words = _stream_words(seed, path_offset + lo, path_offset + hi)
+        rngs = [np.random.Generator(np.random.PCG64(_StreamSeed(w))) for w in words]
         out[lo:hi] = model.sampler.sample_chunk(x0_arr, times, rngs)
     return out
 

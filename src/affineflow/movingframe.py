@@ -338,7 +338,7 @@ def frame_pipeline(model: AffineModel, t: float, u_set, x0, n_paths: int,
     u_list = [as_point(u, dims) for u in u_set]
     if not u_list:
         raise ValueError("u_set must be nonempty")
-    seeds = [int(s) for s in np.random.SeedSequence(seed).generate_state(3, np.uint32)]
+    seeds = models._sub_seeds(seed, 3)
 
     # stage 1: frame
     try:

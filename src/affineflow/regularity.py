@@ -145,7 +145,7 @@ class EmpiricalDerivativeEstimate:
 
 
 def estimate_FR_from_samples(source, dims: Dims, u, h: float, n_paths: int, seed: int,
-                             probe_scale: float = 1.0) -> EmpiricalDerivativeEstimate:
+                             ) -> EmpiricalDerivativeEstimate:
     """Forward-difference derivative estimate from Monte Carlo flow recovery.
 
     Recovers the transform pair at times {0, h} from simulated paths and
@@ -162,8 +162,7 @@ def estimate_FR_from_samples(source, dims: Dims, u, h: float, n_paths: int, seed
     if h <= 0:
         raise ValueError("the step must be positive")
     u_arr = np.asarray(u, dtype=np.complex128)
-    evals = recover_phi_psi(source, dims, [0.0, float(h)], u_arr, n_paths, seed,
-                            probe_scale=probe_scale)
+    evals = recover_phi_psi(source, dims, [0.0, float(h)], u_arr, n_paths, seed)
     ev = evals[-1]
     f_hat = (ev.phi - 1.0) / h
     r_hat = (ev.psi - u_arr) / h

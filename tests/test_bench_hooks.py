@@ -45,6 +45,26 @@ def test_sample_chunk_takes_x0_times_rngs(tracer):
         assert params == ["self", "x0", "times", "rngs"], cls.__name__
 
 
+def test_sample_grid_hands_each_sampler_a_list_of_generators(levy, cir, heston0, control,
+                                                            monkeypatch):
+    """The tracer counts ``models.streams`` as ``len(rngs)`` for lists and tuples only."""
+    monkeypatch.setattr(models, "CHUNK_PATHS", 4)
+    for model in (levy, cir, heston0, control):
+        seen = []
+        sample_chunk = type(model.sampler).sample_chunk
+
+        def recording(self, x0, times, rngs, sample_chunk=sample_chunk, seen=seen):
+            seen.append(rngs)
+            return sample_chunk(self, x0, times, rngs)
+
+        # replace the class attribute, as the tracer does
+        monkeypatch.setattr(type(model.sampler), "sample_chunk", recording)
+        models.sample_grid(model, model.x0_default, [0.0, 0.5], 10, seed=3)
+        assert [len(r) for r in seen] == [4, 4, 2], model.name
+        assert all(type(r) is list and all(type(g) is np.random.Generator for g in r)
+                   for r in seen), model.name
+
+
 def test_flow_on_grid_hook_reads_u_grid_evals_and_errors(tracer):
     assert list(inspect.signature(flow.flow_on_grid).parameters)[3] == "u_grid"
 

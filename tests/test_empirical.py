@@ -99,8 +99,6 @@ def test_recover_phi_psi_validation(cir):
         recover_phi_psi(cir, cir.dims, [0.1, 0.5], u, 100, seed=1)
     with pytest.raises(ValueError, match="start at 0"):
         recover_phi_psi(cir, cir.dims, [0.0, 0.5, 0.5], u, 100, seed=1)
-    with pytest.raises(ValueError, match="probe_scale"):
-        recover_phi_psi(cir, cir.dims, [0.0, 0.5], u, 100, seed=1, probe_scale=0.0)
 
 
 def test_recover_phi_psi_branch_tracking_error():

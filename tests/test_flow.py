@@ -364,3 +364,13 @@ def test_batched_flow_matches_closed_heston(a, b, sigma, rho, t, args, eps):
     us = [np.array([complex(re, im1), 1j * im2]) for re, im1, im2 in args]
     us += [np.array([complex(args[0][0], args[0][1]), 0j]), np.array([-eps + 0j, 0j])]
     _assert_matches_closed(model, [0.0, 0.5 * t, t], us)
+
+
+def test_closed_heston_double_root_up_to_rounding():
+    """b = 0, rho = 1: B^2 - 4AC is zero in exact arithmetic but ~1e-16 |B|^2 in floats."""
+    model = make_heston_like(0.29, 0.0, 0.82, 1.0, lam=0.0)
+    t, u = 3.98, np.array([-22.9 + 18.2j, 0.87j])
+    ode = flow_on_grid(model.gen, model.dims, [t], [u], _TIGHT).evals[0][0]
+    closed = model.closed_flow(t, u)
+    assert abs(closed.log_phi - ode.log_phi) <= 1e-10 * abs(ode.log_phi)
+    assert np.all(np.abs(closed.psi - ode.psi) <= 1e-10 * np.abs(ode.psi))

@@ -108,6 +108,42 @@ def test_window_validation(levy):
         sample_grid(levy, [0.0, 0.0], [0.1, 0.5], 4, seed=1)  # must start at 0
 
 
+_ROOTS = [0, 42, 2**70 + 3, [1, 2, 3, 4, 5, 6], np.random.SeedSequence(9).spawn(4)[3], np.uint32(7),
+          np.random.SeedSequence(5, pool_size=8)]
+_INDICES = [*range(20), 4095, 4096, 2**32 - 1]
+
+
+@pytest.mark.parametrize("seed", _ROOTS,
+                         ids=["0", "42", "2**70+3", "list", "spawned", "uint32", "pool_size8"])
+def test_stream_words_equal_spawned_seed_sequences(seed):
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    for p in _INDICES:
+        child = np.random.SeedSequence(entropy=root.entropy, spawn_key=tuple(root.spawn_key) + (p,))
+        assert np.array_equal(models._stream_words(seed, p, p + 1)[0],
+                              child.generate_state(4, np.uint64)), p
+    block = models._stream_words(seed, 0, 20)
+    rows = [models._stream_words(seed, p, p + 1)[0] for p in range(20)]
+    assert np.array_equal(block, np.stack(rows))
+
+
+@pytest.mark.parametrize("name", ["cir", "levy", "heston0", "control"])
+def test_path_p_draws_from_spawned_stream_p(name, cir, levy, heston0, control):
+    """The window 4090..4099 crosses a ``CHUNK_PATHS`` multiple; each path keeps its own stream."""
+    model = {"cir": cir, "levy": levy, "heston0": heston0, "control": control}[name]
+    x0, times, seed = model.x0_default, np.array([0.0, 0.1, 0.35]), 20240
+    streams = [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(p,)))
+               for p in range(4090, 4100)]
+    expected = model.sampler.sample_chunk(x0, times, streams)
+    assert np.array_equal(sample_grid(model, x0, times, 10, seed, path_offset=4090), expected)
+
+
+def test_path_index_must_fit_one_word(levy):
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        sample_grid(levy, [0.0, 0.0], [0.0, 1.0], 1, seed=1, path_offset=2**32)
+    last = sample_grid(levy, [0.0, 0.0], [0.0, 1.0], 1, seed=1, path_offset=2**32 - 1)
+    assert last.shape == (1, 2, 2)
+
+
 def test_zero_covariance_is_pure_drift():
     model = make_levy([0.5, -0.25], [[0.0, 0.0], [0.0, 0.0]])
     times = uniform_times(2.0, 0.5)
