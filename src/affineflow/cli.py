@@ -9,20 +9,18 @@ Three subcommands share one config format (see config.py):
 
 Exit codes: 0 pass, 1 check failure, 2 usage/config error, 3 numerical
 failure.  All artifact payloads are byte-deterministic for a fixed config and
-seed; wall-clock information is confined to run_metadata.json.  Checks may
-run on a small thread pool (``AFFINE_FLOW_THREADS``), but every check derives
-its own RNG seed from (base seed, check name) and all files are written by
-the main thread in sorted order, so worker count never changes the output.
+seed; wall-clock information is confined to run_metadata.json.  Checks run
+one after another in sorted name order, and every check derives its own RNG
+seed from (base seed, check name), so a check's report does not depend on
+which other checks run with it.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import datetime
 import json
-import os
 import sys
 import zlib
 from pathlib import Path
@@ -73,21 +71,8 @@ _NUMERICAL_ERRORS = (FlowIntegrationError, MatrixLogError, FrameRecursionError,
                      FloatingPointError, ZeroDivisionError, OverflowError)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("AFFINE_FLOW_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"AFFINE_FLOW_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise ConfigError("AFFINE_FLOW_THREADS must be at least 1")
-    return n
-
-
 def _check_seed(base_seed: int, name: str) -> int:
-    """Per-check seed: stable under check-subset choice and worker count."""
+    """Per-check seed: stable under the choice of check subset."""
     return (int(base_seed) + zlib.crc32(name.encode("utf-8"))) % 2**32
 
 
@@ -109,7 +94,6 @@ def _write_metadata(out_dir: Path, cfg: RunConfig, command: str, extra: dict) ->
         "config_path": cfg.source_path,
         "model": cfg.model_name,
         "seed": cfg.sim.seed,
-        "threads": _thread_count(),
         "package_version": getattr(affineflow, "__version__", "unknown"),
         "numpy_version": np.__version__,
         "timestamp_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -426,23 +410,12 @@ def cmd_verify(cfg: RunConfig, checks=None, json_out: bool = False) -> int:
             raise ConfigError(f"model {cfg.model_name!r} has no transform flow; "
                               f"checks {', '.join(bad)} need one")
 
-    def run_one(name):
-        return CHECKS[name](cfg, model, source, _check_seed(base_seed, name))
-
-    workers = min(_thread_count(), len(names))
-    reports: dict[str, CheckReport] = {}
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {name: pool.submit(run_one, name) for name in names}
-            for name in names:
-                reports[name] = futures[name].result()
-    else:
-        for name in names:
-            reports[name] = run_one(name)
+    reports = {name: CHECKS[name](cfg, model, source, _check_seed(base_seed, name))
+               for name in names}
 
     out_dir = Path(cfg.out_dir)
     summary = {"model": cfg.model_name, "seed": base_seed, "checks": {}}
-    for name in names:  # single writer, sorted order
+    for name in names:
         rep = reports[name]
         _write_text(out_dir / f"{name}.json", report_to_json(rep))
         summary["checks"][name] = {

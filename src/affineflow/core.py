@@ -19,8 +19,6 @@ __all__ = [
     "Region",
     "Tolerances",
     "classify_region",
-    "exp_functional",
-    "in_domain",
     "in_domain_interior",
     "as_point",
     "as_state",
@@ -127,11 +125,6 @@ def classify_region(u, dims: Dims, tol: Tolerances = Tolerances()) -> Region:
     return Region.OUTSIDE
 
 
-def in_domain(u, dims: Dims, tol: Tolerances = Tolerances()) -> bool:
-    """True when ``u`` lies in the admissible half-space (up to tolerance)."""
-    return classify_region(u, dims, tol) is not Region.OUTSIDE
-
-
 def in_domain_interior(u, dims: Dims, tol: Tolerances = Tolerances()) -> bool:
     """True when every cone component is strictly inside (vacuous for m=0)."""
     arr = as_point(u, dims)
@@ -141,16 +134,3 @@ def in_domain_interior(u, dims: Dims, tol: Tolerances = Tolerances()) -> bool:
     free_ok = re_J.size == 0 or np.max(np.abs(re_J)) <= eps
     cone_ok = re_I.size == 0 or np.max(re_I) < -eps
     return bool(free_ok and cone_ok)
-
-
-def exp_functional(u, x) -> complex:
-    """The exponential pairing exp(<u, x>) = exp(sum_i u_i x_i).
-
-    The pairing is bilinear (no conjugation); for u in the admissible
-    half-space and x in the state space its modulus never exceeds 1.
-    """
-    u_arr = np.atleast_1d(np.asarray(u, dtype=np.complex128))
-    x_arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if u_arr.shape != x_arr.shape:
-        raise ValueError(f"shape mismatch {u_arr.shape} vs {x_arr.shape}")
-    return complex(np.exp(np.dot(u_arr, x_arr)))

@@ -12,6 +12,9 @@ control over a lane axis: every transform argument of a call is one lane of a
 single solve on complex states, all lanes share the step sequence, land
 exactly on every requested checkpoint, and leave the active set on their own
 when they exit the admissible half-space or fail.
+
+Consumers read flows through a flow source, an object with ``at(t, u)`` and
+``on_grid(t_grid, u_list)``: :class:`OdeFlowSource` or :class:`ClosedFlowSource`.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ __all__ = [
     "matrix_exp",
     "OdeFlowSource",
     "ClosedFlowSource",
-    "as_flow_source",
     "flow_source_for",
 ]
 
@@ -424,15 +426,6 @@ class ClosedFlowSource:
 
     def on_grid(self, t_grid, u_list) -> list:
         return [[self.fn(float(t), u) for u in u_list] for t in t_grid]
-
-
-def as_flow_source(source):
-    """Accept a flow source object or a bare (t, u) -> FlowEvaluation callable."""
-    if hasattr(source, "at") and hasattr(source, "on_grid"):
-        return source
-    if callable(source):
-        return ClosedFlowSource(source)
-    raise TypeError(f"cannot interpret {source!r} as a flow source")
 
 
 def flow_source_for(model, tol: Tolerances = Tolerances(), prefer_closed: bool = False):

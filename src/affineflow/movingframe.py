@@ -18,7 +18,7 @@ import numpy as np
 
 from . import models
 from .core import Dims, Region, Tolerances, as_point, classify_region
-from .flow import FlowIntegrationError, as_flow_source, flow_source_for, matrix_exp
+from .flow import FlowIntegrationError, flow_source_for, matrix_exp
 from .models import AffineModel, sample_grid, uniform_times
 from .verify import CheckReport, _top_witnesses, extract_beta
 
@@ -140,25 +140,22 @@ class FrameRecursionError(RuntimeError):
 class PQState:
     """Final state of the tower-law recursion with step h = t/N.
 
-    ``p`` starts at 1 and ``q`` at u; the recursion applies N-1 updates, so
-    the stored values are p(N-1), q(N-1).  ``history`` optionally records
-    every intermediate (p_k, q_k).
+    ``p`` starts at 1 and ``q`` at u; the folded scheme applies N-1 updates,
+    so its stored values are p(N-1), q(N-1); the exact scheme applies N.
     """
 
     N: int
     h: float
     p: complex
     q: np.ndarray
-    history: list | None = None
 
     @property
     def t(self) -> float:
         return self.N * self.h
 
 
-def pq_recursion(flow_source, frame: FrameMatrix, t: float, u, N: int,
-                 tol: Tolerances = Tolerances(), record_history: bool = False,
-                 scheme: str = "folded") -> PQState:
+def pq_recursion(source, frame: FrameMatrix, t: float, u, N: int,
+                 tol: Tolerances = Tolerances(), *, scheme: str = "folded") -> PQState:
     """Run the discrete tower-law iteration for the transformed transform pair.
 
     The ``folded`` scheme is the classical iteration
@@ -187,7 +184,6 @@ def pq_recursion(flow_source, frame: FrameMatrix, t: float, u, N: int,
         raise ValueError("t must be positive")
     if scheme not in ("folded", "exact"):
         raise ValueError(f"unknown scheme {scheme!r}; choose 'folded' or 'exact'")
-    source = as_flow_source(flow_source)
     h = t / N
     shrink = np.eye(dims.d) - h * frame.K
     node_shift = h * (frame.K @ u_arr)
@@ -195,7 +191,6 @@ def pq_recursion(flow_source, frame: FrameMatrix, t: float, u, N: int,
 
     p = 1 + 0j
     q = u_arr.copy()
-    history = [(p, q.copy())] if record_history else None
     for k in range(n_steps):
         v = shrink @ q if scheme == "folded" else q
         if classify_region(v, dims, tol) is Region.OUTSIDE:
@@ -211,9 +206,7 @@ def pq_recursion(flow_source, frame: FrameMatrix, t: float, u, N: int,
             raise FrameRecursionError(f"flow left its domain at step k={k}")
         p = ev.phi * p
         q = ev.psi if scheme == "folded" else ev.psi - node_shift
-        if record_history:
-            history.append((p, q.copy()))
-    return PQState(N, h, p, q, history)
+    return PQState(N, h, p, q)
 
 
 def pq_extrapolate(flow_source, frame: FrameMatrix, t: float, u,

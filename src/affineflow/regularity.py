@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dims, Tolerances, as_point, in_domain_interior
-from .flow import as_flow_source
 from .verify import CheckReport
 
 __all__ = [
@@ -85,16 +84,15 @@ def _richardson(rows: np.ndarray, scale: float, rounding: float):
     return tops[-1], (increments[-1] if increments else 0.0)
 
 
-def estimate_FR(flow_source, u, h_schedule=(1e-2, 5e-3, 2.5e-3),
+def estimate_FR(source, u, h_schedule=(1e-2, 5e-3, 2.5e-3),
                 dims: Dims | None = None) -> DerivativeEstimate:
     """Estimate the t=0 rates of the transform pair by one-sided differences.
 
     Forward quotients (Phi(h,u) - 1)/h and (psi(h,u) - u)/h over a step-halving
     schedule, Richardson-extrapolated; t=0 being a boundary rules out central
     differences.  Raises :class:`FRExtrapolationError` when the increments do
-    not shrink.
+    not shrink.  ``dims`` is accepted for callers that pass it and is not used.
     """
-    source = as_flow_source(flow_source)
     hs = np.asarray(sorted(h_schedule, reverse=True), dtype=float)
     if hs.size < 2:
         raise ValueError("need at least two steps to extrapolate")
@@ -183,9 +181,11 @@ def estimate_FR_from_samples(source, dims: Dims, u, h: float, n_paths: int, seed
     )
 
 
-def riccati_consistency(flow_source, gen, t: float, u, quad_nodes: int = 12,
-                        threshold: float = 1e-8, dims: Dims | None = None,
-                        max_refinements: int = 8) -> CheckReport:
+_QUAD_NODES = 12       # Gauss-Legendre nodes per panel in riccati_consistency
+_MAX_REFINEMENTS = 8   # panel doublings before riccati_consistency gives up
+
+
+def riccati_consistency(source, gen, t: float, u, threshold: float = 1e-8) -> CheckReport:
     """Integral form of the Riccati system along the flow.
 
     Checks that the generator integrated along the fiber map reproduces the
@@ -195,13 +195,12 @@ def riccati_consistency(flow_source, gen, t: float, u, quad_nodes: int = 12,
     refined (panel doubling) until the integrals settle to a tenth of the
     threshold; failure to settle is a quadrature error, not a check failure.
     """
-    source = as_flow_source(flow_source)
     u_arr = np.asarray(u, dtype=np.complex128)
     if t < 0:
         raise ValueError("t must be nonnegative")
     if t == 0:
         return CheckReport("riccati_consistency", "t=0, both sides vanish", 0.0, threshold)
-    nodes, weights = np.polynomial.legendre.leggauss(quad_nodes)
+    nodes, weights = np.polynomial.legendre.leggauss(_QUAD_NODES)
 
     def integrate(n_panels: int):
         edges = np.linspace(0.0, t, n_panels + 1)
@@ -223,7 +222,7 @@ def riccati_consistency(flow_source, gen, t: float, u, quad_nodes: int = 12,
 
     n_panels = 1
     int_r, int_f = integrate(n_panels)
-    for _ in range(max_refinements):
+    for _ in range(_MAX_REFINEMENTS):
         n_panels *= 2
         r_new, f_new = integrate(n_panels)
         delta = max(float(np.max(np.abs(r_new - int_r))), abs(f_new - int_f))
@@ -233,7 +232,7 @@ def riccati_consistency(flow_source, gen, t: float, u, quad_nodes: int = 12,
     else:
         raise RuntimeError(
             f"quadrature did not settle below {0.1 * threshold:.1e} "
-            f"after {max_refinements} refinements"
+            f"after {_MAX_REFINEMENTS} refinements"
         )
 
     ev = source.at(float(t), u_arr)
@@ -250,14 +249,14 @@ def riccati_consistency(flow_source, gen, t: float, u, quad_nodes: int = 12,
         })
     return CheckReport(
         "riccati_consistency",
-        f"t={t}, {quad_nodes}-node Gauss-Legendre x {n_panels} panels",
+        f"t={t}, {_QUAD_NODES}-node Gauss-Legendre x {n_panels} panels",
         violation,
         threshold,
         witnesses,
     )
 
 
-def u_jacobian(flow_source, dims: Dims, t: float, u, fd_step: float = 1e-6,
+def u_jacobian(source, dims: Dims, t: float, u, fd_step: float = 1e-6,
                tol: Tolerances = Tolerances()) -> np.ndarray:
     """Central-difference derivatives of the transform pair in the cone arguments.
 
@@ -266,7 +265,6 @@ def u_jacobian(flow_source, dims: Dims, t: float, u, fd_step: float = 1e-6,
     component.  The argument must be strictly interior; steps shrink to half
     the distance to the boundary and underflow raises.
     """
-    source = as_flow_source(flow_source)
     u_arr = as_point(u, dims)
     if not in_domain_interior(u_arr, dims, tol):
         raise ValueError("u-derivatives need a strictly interior argument")

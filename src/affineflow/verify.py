@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .core import Dims, Tolerances, in_domain_interior
-from .flow import FlowEvaluation, as_flow_source, matrix_exp
+from .flow import FlowEvaluation, flow_source_for, matrix_exp
 
 __all__ = [
     "CheckReport",
@@ -99,38 +99,38 @@ def _top_witnesses(entries, k=5):
 # probe construction
 
 
-def sample_interior_points(dims: Dims, count: int, rng: np.random.Generator,
-                           re_range=(-2.0, -0.05), im_range=(-2.0, 2.0)) -> list[np.ndarray]:
-    """Random transform arguments strictly inside the half-space."""
+def sample_interior_points(dims: Dims, count: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """Random transform arguments strictly inside the half-space.
+
+    Cone components have real part in (-2, -0.05); every imaginary part is in (-2, 2).
+    """
     out = []
     for _ in range(count):
         u = np.zeros(dims.d, dtype=np.complex128)
         if dims.m:
-            u[dims.I] = rng.uniform(*re_range, dims.m) + 1j * rng.uniform(*im_range, dims.m)
+            u[dims.I] = rng.uniform(-2.0, -0.05, dims.m) + 1j * rng.uniform(-2.0, 2.0, dims.m)
         if dims.n:
-            u[dims.J] = 1j * rng.uniform(*im_range, dims.n)
+            u[dims.J] = 1j * rng.uniform(-2.0, 2.0, dims.n)
         out.append(u)
     return out
 
 
-def sample_imaginary_points(dims: Dims, count: int, rng: np.random.Generator,
-                            im_range=(-2.0, 2.0)) -> list[np.ndarray]:
-    """Random purely imaginary transform arguments."""
-    return [1j * rng.uniform(*im_range, dims.d) + 0j for _ in range(count)]
+def sample_imaginary_points(dims: Dims, count: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """Random purely imaginary transform arguments, imaginary parts in (-2, 2)."""
+    return [1j * rng.uniform(-2.0, 2.0, dims.d) + 0j for _ in range(count)]
 
 
 # ----------------------------------------------------------------------------
 # flow-identity checks
 
 
-def check_semiflow(flow_source, t_grid, s_grid, u_set, threshold: float = 1e-8) -> CheckReport:
+def check_semiflow(source, t_grid, s_grid, u_set, threshold: float = 1e-8) -> CheckReport:
     """Composition identity of the transform pair over a (t, s, u) grid.
 
     Both composition orders are exercised: evolving by t then s must match the
     direct evaluation at t+s in the scalar factor and the fiber map, and
     symmetrically with the roles of t and s swapped.
     """
-    source = as_flow_source(flow_source)
     ts = sorted({float(t) for t in t_grid})
     ss = sorted({float(s) for s in s_grid})
     u_set = list(u_set)
@@ -174,7 +174,7 @@ def check_semiflow(flow_source, t_grid, s_grid, u_set, threshold: float = 1e-8) 
     )
 
 
-def check_monotonicity(flow_source, t_grid, pairs, threshold: float = 1e-8) -> CheckReport:
+def check_monotonicity(source, t_grid, pairs, threshold: float = 1e-8) -> CheckReport:
     """Domination of the flow by its evaluation at the real upper argument.
 
     For pairs (u, w) with Re u <= Re w componentwise (both admissible) the
@@ -183,7 +183,6 @@ def check_monotonicity(flow_source, t_grid, pairs, threshold: float = 1e-8) -> C
     at the real argument must themselves be real, which is asserted as part of
     the same violation measure.
     """
-    source = as_flow_source(flow_source)
     pairs = [(np.asarray(u, dtype=np.complex128), np.asarray(w, dtype=np.complex128))
              for u, w in pairs]
     for u_arr, w_arr in pairs:
@@ -220,7 +219,7 @@ def check_monotonicity(flow_source, t_grid, pairs, threshold: float = 1e-8) -> C
     )
 
 
-def check_property_A(flow_source, t_grid, u_set, dims: Dims,
+def check_property_A(source, t_grid, u_set, dims: Dims,
                      tol: Tolerances = Tolerances()) -> CheckReport:
     """The fiber map keeps strictly interior arguments strictly interior.
 
@@ -228,7 +227,6 @@ def check_property_A(flow_source, t_grid, u_set, dims: Dims,
     rejected); the violation is the worst excursion of the cone components'
     real part above ``-region_eps`` over the whole grid.
     """
-    source = as_flow_source(flow_source)
     for u in u_set:
         if not in_domain_interior(u, dims, tol):
             raise ValueError(f"probe {np.asarray(u)} is not strictly interior")
@@ -272,14 +270,18 @@ class MatrixLogError(RuntimeError):
     """Raised when the probed one-step matrix admits no principal logarithm."""
 
 
-def extract_beta(flow_source, dims: Dims, t_probe: float = 0.5, threshold: float = 1e-8,
-                 check_times=(0.3, 0.7, 1.4), check_seed: int = 1234,
-                 ) -> tuple[np.ndarray, CheckReport]:
+# extract_beta's probe time, its validation times and the seed of its validation points
+_BETA_PROBE_T = 0.5
+_BETA_CHECK_TIMES = (0.3, 0.7, 1.4)
+_BETA_CHECK_SEED = 1234
+
+
+def extract_beta(source, dims: Dims, threshold: float = 1e-8) -> tuple[np.ndarray, CheckReport]:
     """Recover the drift matrix of the free components from flow probes.
 
     Columns of the one-step matrix are the fiber map at ``i e_j`` for free
     unit vectors ``e_j``, divided by i; the drift matrix is its principal
-    matrix logarithm over the probe time.  A validation pass on an
+    matrix logarithm over the probe time t = 0.5.  A validation pass on an
     independent (t, u) grid checks the exponential action and the realness of
     the recovered matrix.  For n=0 the matrix is empty and the report is
     vacuously passing.
@@ -288,15 +290,12 @@ def extract_beta(flow_source, dims: Dims, t_probe: float = 0.5, threshold: float
     if n == 0:
         beta = np.zeros((0, 0))
         return beta, CheckReport("property_b", "no free components (n=0), vacuous", 0.0, threshold)
-    if t_probe <= 0:
-        raise ValueError("t_probe must be positive")
-    source = as_flow_source(flow_source)
 
     cols = []
     for j in range(n):
         e = np.zeros(dims.d, dtype=np.complex128)
         e[dims.m + j] = 1j
-        ev = source.at(float(t_probe), e)
+        ev = source.at(_BETA_PROBE_T, e)
         cols.append(ev.psi[dims.J] / 1j)
     m_mat = np.column_stack(cols)
     imag_leak = float(np.max(np.abs(m_mat.imag)))
@@ -312,12 +311,12 @@ def extract_beta(flow_source, dims: Dims, t_probe: float = 0.5, threshold: float
         )
     log_m = scipy.linalg.logm(m_real)
     beta_imag = float(np.max(np.abs(log_m.imag))) if np.iscomplexobj(log_m) else 0.0
-    beta = (log_m.real if np.iscomplexobj(log_m) else log_m) / t_probe
+    beta = (log_m.real if np.iscomplexobj(log_m) else log_m) / _BETA_PROBE_T
 
-    rng = np.random.default_rng(check_seed)
+    rng = np.random.default_rng(_BETA_CHECK_SEED)
     entries = []
     max_violation = max(imag_leak, beta_imag)
-    for t in check_times:
+    for t in _BETA_CHECK_TIMES:
         e_tb = matrix_exp(beta, float(t))
         for u in sample_imaginary_points(dims, 3, rng):
             ev = source.at(float(t), u)
@@ -332,7 +331,7 @@ def extract_beta(flow_source, dims: Dims, t_probe: float = 0.5, threshold: float
                 }))
     report = CheckReport(
         "property_b",
-        f"probe t={t_probe}, validation times {list(check_times)} x 3 imaginary points",
+        f"probe t={_BETA_PROBE_T}, validation times {list(_BETA_CHECK_TIMES)} x 3 imaginary points",
         max_violation,
         threshold,
         _top_witnesses(entries),
@@ -455,43 +454,36 @@ def _posdef_report(probe_pairs, values, threshold: float) -> CheckReport:
 # Feller decay
 
 
-_WINDOWS = {
-    "bump": lambda s: np.where(np.abs(s) < 1.0, np.exp(-1.0 / np.maximum(1e-300, 1.0 - s**2)), 0.0),
-    "hann": lambda s: np.where(np.abs(s) < 1.0, np.cos(0.5 * np.pi * s) ** 2, 0.0),
-}
+_SUPPORT = (-2.0, 2.0)  # the test function's window in the free coordinate
+_N_NODES = 257          # trapezoid nodes on the window
+_DECAY_RATIO = 0.05     # feller_decay: final over initial value along a ray must stay below this
 
 
 @dataclass(frozen=True)
 class TestFunction:
     """Separable test function: exponential in the cone, windowed Fourier in the free part.
 
-    ``u_I`` must have strictly negative real parts; the window is a named
-    compactly supported smooth density on the support box, discretized on a
-    per-axis trapezoid grid (the integrand vanishes smoothly at the box edge,
-    so the trapezoid rule converges superalgebraically).
+    ``u_I`` must have strictly negative real parts; the window is the smooth
+    bump exp(-1 / (1 - s^2)) stretched over (-2, 2), discretized on a
+    257-node trapezoid grid (the integrand vanishes smoothly at the window
+    edge, so the trapezoid rule converges superalgebraically).
     """
 
     u_I: np.ndarray
-    window: str = "bump"
-    support: tuple = (-2.0, 2.0)
-    n_nodes: int = 257
 
     def __post_init__(self):
         u = np.atleast_1d(np.asarray(self.u_I, dtype=np.complex128))
         object.__setattr__(self, "u_I", u)
         if u.size and np.max(u.real) >= 0:
             raise ValueError("cone arguments of a test function need Re < 0")
-        if self.window not in _WINDOWS:
-            raise ValueError(f"unknown window {self.window!r}; known: {sorted(_WINDOWS)}")
 
     def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes and weights of the normalized windowed density on the box."""
-        lo, hi = self.support
-        ys = np.linspace(lo, hi, self.n_nodes)
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        g = _WINDOWS[self.window]((ys - mid) / half)
-        w = np.full(self.n_nodes, (hi - lo) / (self.n_nodes - 1))
+        """Nodes and weights of the normalized bump density on the window."""
+        lo, hi = _SUPPORT
+        ys = np.linspace(lo, hi, _N_NODES)
+        s = ys / hi
+        g = np.where(np.abs(s) < 1.0, np.exp(-1.0 / np.maximum(1e-300, 1.0 - s**2)), 0.0)
+        w = np.full(_N_NODES, (hi - lo) / (_N_NODES - 1))
         w[0] *= 0.5
         w[-1] *= 0.5
         mass = float(np.sum(w * g))
@@ -499,13 +491,12 @@ class TestFunction:
 
 
 def feller_decay(model, test_fn: TestFunction, t: float, ray,
-                 tol: Tolerances = Tolerances(), flow_source=None,
-                 decay_ratio: float = 0.05) -> CheckReport:
+                 tol: Tolerances = Tolerances(), flow_source=None) -> CheckReport:
     """Decay of the propagated test function along a ray to infinity.
 
     The time-t expectation of the test function is assembled from the flow by
     Fourier quadrature over the window; along the given ray of states the
-    modulus must decay below ``decay_ratio`` of its initial value, and its
+    modulus must decay below 5% of its initial value, and its
     envelope over consecutive thirds of the ray must be nonincreasing (the
     pointwise values oscillate along free-component rays, so monotonicity is
     asserted for the envelope, not per sample).
@@ -515,11 +506,7 @@ def feller_decay(model, test_fn: TestFunction, t: float, ray,
         raise ValueError("the decay probe is implemented for exactly one free component")
     if model.beta is None:
         raise ValueError("model must carry its free-component drift matrix")
-    source = as_flow_source(flow_source) if flow_source is not None else None
-    if source is None:
-        from .flow import flow_source_for
-
-        source = flow_source_for(model, tol)
+    source = flow_source if flow_source is not None else flow_source_for(model, tol)
 
     ys, gw = test_fn.quadrature()
     u_list = []
@@ -552,17 +539,17 @@ def feller_decay(model, test_fn: TestFunction, t: float, ray,
     env = [float(np.max(values[i * third: (i + 1) * third if i < 2 else len(values)]))
            for i in range(3)]
     env_violation = max(env[1] / env[0] - 1.0, env[2] / env[1] - 1.0)
-    max_violation = max(final_ratio - decay_ratio, env_violation)
+    max_violation = max(final_ratio - _DECAY_RATIO, env_violation)
     witnesses = []
     if max_violation > 0:
         witnesses = [{
             "inputs": {"t": float(t), "ray_start": ray_pts[0], "ray_end": ray_pts[-1]},
             "observed": {"final_ratio": final_ratio, "envelope": env},
-            "expected": f"final ratio < {decay_ratio}, nonincreasing envelope",
+            "expected": f"final ratio < {_DECAY_RATIO}, nonincreasing envelope",
         }]
     return CheckReport(
         "feller_decay",
-        f"t={t}, {len(ray_pts)} ray points, window={test_fn.window} on {test_fn.support}",
+        f"t={t}, {len(ray_pts)} ray points, window=bump on {_SUPPORT}",
         max_violation,
         0.0,
         witnesses,

@@ -4,7 +4,8 @@
 reads each sampler's ``sample_chunk`` arguments by position and counts flow
 solves from ``flow_on_grid``'s arguments and result.  A rename, a moved
 argument or a renamed field would otherwise surface only when a traced
-benchmark pass fails.
+benchmark pass fails.  The benchmark's workloads also call a few functions
+directly; their call shapes are pinned at the end.
 """
 
 import importlib
@@ -15,8 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from affineflow import flow, models
-from affineflow.core import Dims
+from affineflow import flow, models, movingframe, regularity, verify
+from affineflow.core import Dims, Tolerances
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -79,3 +80,34 @@ def test_flow_on_grid_hook_reads_u_grid_evals_and_errors(tracer):
     with t.operation("op"):
         assert t._after_flow_on_grid(args, {}, grid) is grid
     assert (t.counters["flow.solves"], t.counters["flow.exits"], t.counters["flow.errors"]) == (3, 1, 1)
+
+
+# ---------------------------------------------------------------------------
+# calls the benchmark's workloads make into the package (perfbench/bench_pass.py)
+# and argument positions its tracer reads
+
+
+def test_pq_recursion_n_is_parameter_4_and_scheme_is_keyword_only():
+    params = inspect.signature(movingframe.pq_recursion).parameters
+    assert list(params)[4] == "N"
+    assert params["scheme"].kind is inspect.Parameter.KEYWORD_ONLY
+
+
+def test_estimate_fr_takes_h_schedule_and_dims(cir):
+    source = flow.flow_source_for(cir, prefer_closed=True)
+    est = regularity.estimate_FR(source, np.array([-1.0 + 0j]),
+                                 h_schedule=(1e-2, 5e-3, 2.5e-3), dims=cir.dims)
+    assert abs(est.F_hat - cir.gen.F(est.u)) < 1e-6
+
+
+def test_probe_samplers_take_dims_count_rng(heston0):
+    for sampler in (verify.sample_interior_points, verify.sample_imaginary_points):
+        points = sampler(heston0.dims, 3, np.random.default_rng(0))
+        assert len(points) == 3 and all(p.shape == (2,) for p in points)
+
+
+def test_closed_source_and_closed_flow_fields(cir):
+    source = flow.flow_source_for(cir, Tolerances(ode_rel=1e-10, ode_abs=1e-12), prefer_closed=True)
+    assert callable(source.at) and callable(source.on_grid)
+    ev = cir.closed_flow(0.5, np.array([-1.0 + 0j]))
+    assert isinstance(ev.phi, complex) and ev.psi.shape == (1,)

@@ -176,20 +176,6 @@ def test_verify_without_seed_demands_one(tmp_path, capsys):
     assert summary["seed"] == 11
 
 
-def test_bad_thread_env(tmp_path, capsys, monkeypatch):
-    cfg = write_cfg(tmp_path, CIR_FAST)
-    monkeypatch.setenv("AFFINE_FLOW_THREADS", "zero")
-    code = main(["verify", "--config", cfg, "--checks", "semiflow",
-                 "--out", str(tmp_path / "out")])
-    assert code == EXIT_USAGE
-    assert "integer" in capsys.readouterr().err
-    monkeypatch.setenv("AFFINE_FLOW_THREADS", "0")
-    code = main(["verify", "--config", cfg, "--checks", "semiflow",
-                 "--out", str(tmp_path / "out")])
-    assert code == EXIT_USAGE
-    assert "at least 1" in capsys.readouterr().err
-
-
 # ---------------------------------------------------------------------------
 # flow subcommand
 
@@ -293,28 +279,15 @@ def test_verify_designed_failure_exits_one(tmp_path, capsys):
     assert report["witnesses"]  # at least one concrete witness recorded
 
 
-def test_verify_worker_count_does_not_change_artifacts(tmp_path, monkeypatch):
+def test_verify_check_subset_writes_the_reports_of_a_full_run(tmp_path):
+    """Each check seeds from (base seed, check name), not from its place in the run."""
     cfg = write_cfg(tmp_path, CIR_FAST)
-    names = ["semiflow", "monotonicity", "property_a", "property_b", "linearity"]
-    outputs = {}
-    for threads, sub in (("1", "serial"), ("3", "pooled")):
-        monkeypatch.setenv("AFFINE_FLOW_THREADS", threads)
-        out = tmp_path / sub
-        code = main(["verify", "--config", cfg, "--checks", ",".join(names),
-                     "--out", str(out)])
-        assert code == EXIT_PASS
-        outputs[sub] = out
-        meta = json.loads((out / "run_metadata.json").read_text())
-        assert meta["threads"] == int(threads)
-
-    for artifact in sorted(p.name for p in outputs["serial"].iterdir()):
-        if artifact == "run_metadata.json":
-            continue  # carries wall-clock data by design
-        a = (outputs["serial"] / artifact).read_bytes()
-        b = (outputs["pooled"] / artifact).read_bytes()
-        assert a == b, f"{artifact} differs between worker counts"
-    assert {p.name for p in outputs["serial"].iterdir()} == \
-           {p.name for p in outputs["pooled"].iterdir()}
+    subset, full = tmp_path / "subset", tmp_path / "all"
+    assert main(["verify", "--config", cfg, "--checks", "factorization,recover",
+                 "--out", str(subset)]) == EXIT_PASS
+    assert main(["verify", "--config", cfg, "--all", "--out", str(full)]) == EXIT_PASS
+    for artifact in ("factorization.json", "recover.json"):
+        assert (subset / artifact).read_bytes() == (full / artifact).read_bytes(), artifact
 
 
 # ---------------------------------------------------------------------------

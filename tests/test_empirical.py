@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from affineflow.core import Dims, exp_functional
+from affineflow.core import Dims
 from affineflow.empirical import (
     BranchContinuityError,
     EcfEstimate,

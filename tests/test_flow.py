@@ -13,7 +13,6 @@ from affineflow.flow import (
     FlowEvaluation,
     FlowIntegrationError,
     OdeFlowSource,
-    as_flow_source,
     flow_on_grid,
     flow_source_for,
     matrix_exp,
@@ -197,12 +196,6 @@ def test_flow_sources(cir, heston1, control):
     rows = closed_src.on_grid([0.0, 0.5], [np.array([-1.0 + 0j])])
     assert len(rows) == 2 and len(rows[0]) == 1
     assert _gap(rows[1][0], cir.closed_flow(0.5, np.array([-1.0 + 0j]))) == 0.0
-
-    assert as_flow_source(ode_src) is ode_src
-    wrapped = as_flow_source(cir.closed_flow)
-    assert isinstance(wrapped, ClosedFlowSource)
-    with pytest.raises(TypeError):
-        as_flow_source(42)
 
     assert isinstance(flow_source_for(heston1), OdeFlowSource)
     assert isinstance(flow_source_for(cir, prefer_closed=True), ClosedFlowSource)

@@ -8,7 +8,7 @@ import pytest
 
 from affineflow import models
 from affineflow.core import Dims
-from affineflow.flow import FlowEvaluation, OdeFlowSource, matrix_exp
+from affineflow.flow import ClosedFlowSource, FlowEvaluation, OdeFlowSource, matrix_exp
 from affineflow.models import sample_grid, uniform_times
 from affineflow.movingframe import (
     FrameMatrix,
@@ -121,7 +121,7 @@ def _contracting_source(rate=1.0):
         u_arr = np.asarray(u, dtype=np.complex128)
         return FlowEvaluation(float(t), u_arr, 1 + 0j, math.exp(-rate * t) * u_arr, 0j)
 
-    return fn
+    return ClosedFlowSource(fn)
 
 
 def test_pq_recursion_single_step_is_trivial():
@@ -150,12 +150,11 @@ def test_pq_folded_scheme_closed_form():
     frame = build_frame([[-1.0]], Dims(0, 1))
     u = np.array([0.8j])
     N = 16
-    state = pq_recursion(_contracting_source(), frame, 0.5, u, N=N, record_history=True)
+    state = pq_recursion(_contracting_source(), frame, 0.5, u, N=N)
     h = 0.5 / N
     factor = (math.exp(-h) * (1 + h)) ** (N - 1)
     assert abs(state.q[0] - factor * u[0]) < 1e-12
     assert state.p == 1 + 0j
-    assert len(state.history) == N  # initial state plus N-1 updates
 
 
 def test_pq_exact_scheme_closed_form():
@@ -205,7 +204,7 @@ def test_pq_recursion_guards_the_halfspace():
 
     frame = build_frame(np.zeros((1, 1)), Dims(0, 1))
     with pytest.raises(FrameRecursionError, match="step k=1"):
-        pq_recursion(escaping, frame, 0.5, [0.2j], N=4)
+        pq_recursion(ClosedFlowSource(escaping), frame, 0.5, [0.2j], N=4)
 
     def exiting(t, u):
         u_arr = np.asarray(u, dtype=np.complex128)
@@ -213,7 +212,7 @@ def test_pq_recursion_guards_the_halfspace():
                               np.full_like(u_arr, np.nan), np.nan + 0j, in_Q=False)
 
     with pytest.raises(FrameRecursionError, match="left its domain"):
-        pq_recursion(exiting, frame, 0.5, [0.2j], N=4)
+        pq_recursion(ClosedFlowSource(exiting), frame, 0.5, [0.2j], N=4)
 
 
 def test_transformed_state_source_identity_for_zero_drift(levy):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from affineflow.core import Dims
-from affineflow.flow import FlowEvaluation, OdeFlowSource, flow_source_for
+from affineflow.flow import ClosedFlowSource, FlowEvaluation, OdeFlowSource, flow_source_for
 from affineflow.regularity import (
     DerivativeEstimate,
     FRExtrapolationError,
@@ -26,12 +26,12 @@ def test_derivative_estimate_validation():
 
 def test_estimate_fr_cir_frozen_values(cir):
     """At u = -1 the generator gives F = a*u = -1 and R = sigma^2 u^2/2 - b*u = 1.5."""
-    est = estimate_FR(cir.closed_flow, np.array([-1.0 + 0j]))
+    est = estimate_FR(ClosedFlowSource(cir.closed_flow), np.array([-1.0 + 0j]))
     assert abs(est.F_hat - (-1.0)) < 1e-6
     assert abs(est.R_hat[0] - 1.5) < 1e-6
     assert est.extrapolation_order == 2
 
-    deep = estimate_FR(cir.closed_flow, np.array([-1.0 + 0j]),
+    deep = estimate_FR(ClosedFlowSource(cir.closed_flow), np.array([-1.0 + 0j]),
                        h_schedule=(1e-2, 5e-3, 2.5e-3, 1.25e-3, 6.25e-4))
     assert abs(deep.F_hat - (-1.0)) < 1e-9
     assert abs(deep.R_hat[0] - 1.5) < 1e-9
@@ -47,7 +47,7 @@ def test_estimate_fr_matches_generator(heston1):
 
 
 def test_estimate_fr_vanishes_at_origin(cir):
-    est = estimate_FR(cir.closed_flow, np.array([0j]))
+    est = estimate_FR(ClosedFlowSource(cir.closed_flow), np.array([0j]))
     assert abs(est.F_hat) < 1e-10
     assert abs(est.R_hat[0]) < 1e-10
 
@@ -55,9 +55,9 @@ def test_estimate_fr_vanishes_at_origin(cir):
 def test_estimate_fr_schedule_validation(cir):
     u = np.array([-1.0 + 0j])
     with pytest.raises(ValueError, match="two steps"):
-        estimate_FR(cir.closed_flow, u, h_schedule=(1e-2,))
+        estimate_FR(ClosedFlowSource(cir.closed_flow), u, h_schedule=(1e-2,))
     with pytest.raises(ValueError, match="ratio 2"):
-        estimate_FR(cir.closed_flow, u, h_schedule=(1e-2, 3e-3, 1e-3))
+        estimate_FR(ClosedFlowSource(cir.closed_flow), u, h_schedule=(1e-2, 3e-3, 1e-3))
 
 
 def test_estimate_fr_rejects_nonsmooth_flow():
@@ -69,7 +69,7 @@ def test_estimate_fr_rejects_nonsmooth_flow():
         return FlowEvaluation(float(t), u_arr, phi, u_arr.copy(), complex(np.log(phi)))
 
     with pytest.raises(FRExtrapolationError, match="stopped decreasing"):
-        estimate_FR(kinked, np.array([-1.0 + 0j]))
+        estimate_FR(ClosedFlowSource(kinked), np.array([-1.0 + 0j]))
 
 
 def test_estimate_fr_five_steps_accepts_rounding_noise(levy):
@@ -103,7 +103,8 @@ def test_estimate_fr_from_samples_refuses_noise_dominated_step(cir):
 
 
 def test_riccati_consistency_closed_cir(cir):
-    report = riccati_consistency(cir.closed_flow, cir.gen, 0.8, np.array([-1.0 + 0.5j]))
+    src = ClosedFlowSource(cir.closed_flow)
+    report = riccati_consistency(src, cir.gen, 0.8, np.array([-1.0 + 0.5j]))
     assert report.passed
     assert report.max_violation < 1e-8
 
@@ -115,10 +116,11 @@ def test_riccati_consistency_ode_heston(heston1):
 
 
 def test_riccati_consistency_trivial_at_zero(cir):
-    report = riccati_consistency(cir.closed_flow, cir.gen, 0.0, np.array([-1.0 + 0j]))
+    src = ClosedFlowSource(cir.closed_flow)
+    report = riccati_consistency(src, cir.gen, 0.0, np.array([-1.0 + 0j]))
     assert report.passed and "t=0" in report.grid_spec
     with pytest.raises(ValueError):
-        riccati_consistency(cir.closed_flow, cir.gen, -0.5, np.array([-1.0 + 0j]))
+        riccati_consistency(src, cir.gen, -0.5, np.array([-1.0 + 0j]))
 
 
 def test_u_jacobian_frozen_value():
@@ -127,7 +129,7 @@ def test_u_jacobian_frozen_value():
     from affineflow.models import make_cir
 
     model = make_cir(0.0, 0.0, np.sqrt(2.0))
-    jac = u_jacobian(model.closed_flow, model.dims, 0.5, np.array([-1.0 + 0j]))
+    jac = u_jacobian(ClosedFlowSource(model.closed_flow), model.dims, 0.5, np.array([-1.0 + 0j]))
     assert jac.shape == (2, 1)
     assert abs(jac[0, 0]) < 1e-9  # d phi / du == 0 when a == 0
     assert abs(jac[1, 0] - 4.0 / 9.0) < 1e-8
@@ -141,6 +143,6 @@ def test_u_jacobian_empty_for_pure_free_models(levy):
 
 def test_u_jacobian_validation(cir):
     with pytest.raises(ValueError, match="interior"):
-        u_jacobian(cir.closed_flow, cir.dims, 0.5, np.array([0.0 + 1j]))
+        u_jacobian(ClosedFlowSource(cir.closed_flow), cir.dims, 0.5, np.array([0.0 + 1j]))
     with pytest.raises(ValueError, match="underflow"):
-        u_jacobian(cir.closed_flow, cir.dims, 0.5, np.array([-1.5e-12 + 0j]))
+        u_jacobian(ClosedFlowSource(cir.closed_flow), cir.dims, 0.5, np.array([-1.5e-12 + 0j]))

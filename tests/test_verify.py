@@ -63,7 +63,7 @@ def test_probe_samplers():
 
 def test_semiflow_closed_form_passes(cir):
     us = [np.array([-1.0 + 0j]), np.array([-0.4 + 0.7j])]
-    report = check_semiflow(cir.closed_flow, [0.2, 0.5], [0.3, 0.6], us)
+    report = check_semiflow(ClosedFlowSource(cir.closed_flow), [0.2, 0.5], [0.3, 0.6], us)
     assert report.passed
     assert report.max_violation < 1e-12
     assert "both orders" in report.grid_spec
@@ -76,7 +76,7 @@ def test_semiflow_catches_scaling_defect(cir):
         ev = cir.closed_flow(t, u)
         return FlowEvaluation(ev.t, ev.u, ev.phi * (1 + 2e-4), ev.psi, ev.log_phi)
 
-    report = check_semiflow(broken, [0.2], [0.3], [np.array([-1.0 + 0j])])
+    report = check_semiflow(ClosedFlowSource(broken), [0.2], [0.3], [np.array([-1.0 + 0j])])
     assert not report.passed
     assert report.max_violation > 1e-5
     assert report.witnesses  # failure must carry witnesses
@@ -87,15 +87,15 @@ def test_monotonicity_cir(cir):
         (np.array([-1.0 + 0.8j]), np.array([-0.5 + 0j])),
         (np.array([-0.7 - 0.3j]), np.array([-0.7 + 0j])),
     ]
-    report = check_monotonicity(cir.closed_flow, [0.3, 1.0], pairs)
+    report = check_monotonicity(ClosedFlowSource(cir.closed_flow), [0.3, 1.0], pairs)
     assert report.passed
     with pytest.raises(ValueError, match="Re u <= Re w"):
-        check_monotonicity(cir.closed_flow, [0.3],
+        check_monotonicity(ClosedFlowSource(cir.closed_flow), [0.3],
                            [(np.array([-0.2 + 0j]), np.array([-0.5 + 0j]))])
 
 
 def test_property_a_interior_preservation(cir, heston0):
-    report = check_property_A(cir.closed_flow, [0.5, 1.0, 3.0],
+    report = check_property_A(ClosedFlowSource(cir.closed_flow), [0.5, 1.0, 3.0],
                               [np.array([-0.8 + 0.4j]), np.array([-2.0 - 1.0j])],
                               cir.dims)
     assert report.passed
@@ -107,7 +107,7 @@ def test_property_a_interior_preservation(cir, heston0):
 
 def test_property_a_rejects_boundary_probe(cir):
     with pytest.raises(ValueError, match="interior"):
-        check_property_A(cir.closed_flow, [0.5], [np.array([0.0 + 1j])], cir.dims)
+        check_property_A(ClosedFlowSource(cir.closed_flow), [0.5], [np.array([0.0 + 1j])], cir.dims)
 
 
 def test_property_a_flags_domain_exit():
@@ -134,7 +134,7 @@ def test_extract_beta_identity_fiber(levy):
 
 
 def test_extract_beta_vacuous_without_free_part(cir):
-    beta, report = extract_beta(cir.closed_flow, cir.dims)
+    beta, report = extract_beta(ClosedFlowSource(cir.closed_flow), cir.dims)
     assert beta.shape == (0, 0)
     assert report.passed and "vacuous" in report.grid_spec
 
@@ -147,7 +147,7 @@ def test_extract_beta_rejects_reflection():
         return FlowEvaluation(float(t), u_arr, 1 + 0j, -u_arr, 0j)
 
     with pytest.raises(MatrixLogError):
-        extract_beta(reflecting, Dims(0, 1))
+        extract_beta(ClosedFlowSource(reflecting), Dims(0, 1))
 
 
 def test_fit_linearity_recovers_decay_factor():
@@ -219,13 +219,8 @@ def test_test_function_quadrature():
     ys, w = fn.quadrature()
     assert len(ys) == 257 and np.all(np.diff(ys) > 0)
     assert np.sum(w) == pytest.approx(1.0, abs=1e-12)
-    hann = verify.TestFunction(u_I=np.array([-1.0 + 0j]), window="hann", n_nodes=129)
-    _, w2 = hann.quadrature()
-    assert np.sum(w2) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError, match="Re < 0"):
         verify.TestFunction(u_I=np.array([0.5 + 0j]))
-    with pytest.raises(ValueError, match="window"):
-        verify.TestFunction(u_I=np.array([-1.0 + 0j]), window="tophat")
 
 
 def test_feller_decay_along_both_rays(heston0):
