@@ -23,6 +23,7 @@ import datetime
 import json
 import sys
 import zlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -317,7 +318,7 @@ def _chk_recover(cfg, model, source, seed):
     worst = 0.0
     witnesses = []
     for ev in evals[1:]:
-        ref = source.at(ev.t, u)
+        ref = source.on_grid([ev.t], [u])[0][0]
         z_phi = abs(ev.phi - ref.phi) / ev.phi_stderr if ev.phi_stderr > 0 else 0.0
         z_psi = 0.0
         for k in range(dims.d):
@@ -363,16 +364,9 @@ def _chk_feller(cfg, model, source, seed):
         cone_dir = np.zeros(dims.d)
         cone_dir[0] = 1.0
         rays.append([x0 + r * cone_dir for r in radii])
-    worst = 0.0
-    witnesses = []
-    spec = []
-    for ray in rays:
-        rep = feller_decay(model, tf, t, ray, tol=cfg.thresholds.tolerances(),
-                           flow_source=source)
-        worst = max(worst, rep.max_violation)
-        witnesses.extend(rep.witnesses)
-        spec.append(rep.grid_spec)
-    return CheckReport("feller_decay", " | ".join(spec), worst, 0.0, witnesses)
+    rep = feller_decay(source, model, tf, t, rays)
+    # the report reads 0 while every ray decays with slack to spare
+    return replace(rep, max_violation=max(0.0, rep.max_violation))
 
 
 CHECKS = {

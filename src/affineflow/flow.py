@@ -13,8 +13,10 @@ single solve on complex states, all lanes share the step sequence, land
 exactly on every requested checkpoint, and leave the active set on their own
 when they exit the admissible half-space or fail.
 
-Consumers read flows through a flow source, an object with ``at(t, u)`` and
-``on_grid(t_grid, u_list)``: :class:`OdeFlowSource` or :class:`ClosedFlowSource`.
+Consumers read flows through a flow source, an object whose one method
+``on_grid(t_grid, u_list)`` returns the evaluations row-major in t:
+:class:`OdeFlowSource` or :class:`ClosedFlowSource`.  A single (t, u) is the
+one-cell grid ``on_grid([t], [u])[0][0]``.
 """
 
 from __future__ import annotations
@@ -111,16 +113,14 @@ def _dp45(rhs, y0, checkpoints, rtol, atol, guard, max_steps=200_000):
     accepted step and returns ``None`` or the (k,) mask of lanes that left
     the domain.
 
-    Returns ``(records, exit_s, errors)``: ``records`` is (len(checkpoints),
-    L, n), NaN where a lane did not reach a checkpoint; ``exit_s[j]`` is the
-    time the guard took lane j out (NaN if never); ``errors[j]`` is ``None``
-    or the :class:`FlowIntegrationError` that failed lane j alone (a
-    non-finite derivative, or the worst lane when the step underflows).
-    Lanes that are out never hold up the others.
+    Returns ``(records, errors)``: ``records`` is (len(checkpoints), L, n),
+    NaN where a lane did not reach a checkpoint (it exited or failed before);
+    ``errors[j]`` is ``None`` or the :class:`FlowIntegrationError` that failed
+    lane j alone (a non-finite derivative, or the worst lane when the step
+    underflows).  Lanes that are out never hold up the others.
     """
     n_lanes, n = y0.shape
     records = np.full((len(checkpoints), n_lanes, n), np.nan, dtype=np.complex128)
-    exit_s = np.full(n_lanes, np.nan)
     errors: list = [None] * n_lanes
     lanes = np.arange(n_lanes)  # original index of each active lane
     y = y0.reshape(-1)
@@ -134,14 +134,12 @@ def _dp45(rhs, y0, checkpoints, rtol, atol, guard, max_steps=200_000):
         records[ti] = y0
         ti += 1
     if ti == len(targets):
-        return records, exit_s, errors
+        return records, errors
 
     def drop(out, exc=None):
-        """Take the active lanes flagged in ``out`` out: exited at s, or failed with ``exc``."""
+        """Take the active lanes flagged in ``out`` out: exited, or failed with ``exc``."""
         nonlocal lanes, y, f, k
-        if exc is None:
-            exit_s[lanes[out]] = s
-        else:
+        if exc is not None:
             for j in lanes[out]:
                 errors[j] = exc
         keep = ~out
@@ -151,15 +149,15 @@ def _dp45(rhs, y0, checkpoints, rtol, atol, guard, max_steps=200_000):
         k = np.empty((7, y.size), dtype=np.complex128)
 
     rhs(s, y.reshape(-1, n), f.reshape(-1, n))
-    bad = ~np.isfinite(f).reshape(-1, n).all(axis=1)
-    if bad.any():
-        drop(bad, FlowIntegrationError("generator returned a non-finite value", s))
+    if not np.isfinite(f).all():
+        drop(~np.isfinite(f).reshape(-1, n).all(axis=1),
+             FlowIntegrationError("generator returned a non-finite value", s))
     h = _initial_step(y, f, n, rtol, atol, t_end)
     err_prev = 1.0
     lane_sq = None  # per-lane squared scaled error of the last attempted step
     for _ in range(max_steps):
         if not lanes.size:
-            return records, exit_s, errors
+            return records, errors
         clipped = False
         if s + h >= targets[ti] - 1e-14 * max(1.0, targets[ti]):
             h_step = targets[ti] - s
@@ -206,7 +204,7 @@ def _dp45(rhs, y0, checkpoints, rtol, atol, guard, max_steps=200_000):
                 records[ti, lanes] = y.reshape(-1, n)
                 ti += 1
             if ti >= len(targets):
-                return records, exit_s, errors
+                return records, errors
             if clipped:
                 # A step shortened to land on a checkpoint reports an
                 # artificially tiny error; feeding it to the controller would
@@ -221,7 +219,7 @@ def _dp45(rhs, y0, checkpoints, rtol, atol, guard, max_steps=200_000):
             h = h_step * max(0.2, 0.9 * err ** -0.2)
     drop(np.ones(lanes.size, dtype=bool),
          FlowIntegrationError("integration exceeded the step budget", s))
-    return records, exit_s, errors
+    return records, errors
 
 
 def _initial_step(y, f, n, rtol, atol, span):
@@ -276,19 +274,15 @@ def _make_guard(dims: Dims, tol: Tolerances):
     return guard
 
 
-def _exited(t: float, u_arr: np.ndarray, dims: Dims) -> FlowEvaluation:
-    nan_psi = np.full(dims.d, np.nan + 0j)
-    return FlowEvaluation(t, u_arr, np.nan + 0j, nan_psi, np.nan + 0j, in_Q=False)
-
-
 def _flow_lanes(gen, dims: Dims, points: list, times: list, tol: Tolerances):
     """Integrate the L arguments ``points`` through the ascending, nonnegative ``times``.
 
-    Returns :func:`_dp45`'s ``(records, exit_s, errors)``; a record holds psi
-    followed by log phi.
+    Returns :func:`_dp45`'s ``(records, errors)``; a record holds psi followed
+    by log phi.
     """
     y0 = np.zeros((len(points), dims.d + 1), dtype=np.complex128)
-    y0[:, : dims.d] = np.reshape(points, (-1, dims.d))
+    if points:  # an empty list does not broadcast into the (0, d) block
+        y0[:, : dims.d] = points
     # A lane that goes non-finite is failed and reported on its own, so
     # numpy's warnings about its values would only repeat that.
     with np.errstate(invalid="ignore", over="ignore"):
@@ -297,33 +291,25 @@ def _flow_lanes(gen, dims: Dims, points: list, times: list, tol: Tolerances):
 
 
 def _evaluation(t: float, u_arr: np.ndarray, state: np.ndarray, dims: Dims) -> FlowEvaluation:
+    """The cell at (t, u) from its record; a lane that exited before t is ``in_Q=False`` at t."""
     if t == 0:
         return FlowEvaluation(0.0, u_arr, 1 + 0j, u_arr.copy(), 0j)
     log_phi = complex(state[dims.d])
     if math.isnan(log_phi.real):
-        return _exited(t, u_arr, dims)
+        nan_psi = np.full(dims.d, np.nan + 0j)
+        return FlowEvaluation(t, u_arr, np.nan + 0j, nan_psi, np.nan + 0j, in_Q=False)
     return FlowEvaluation(t, u_arr, complex(np.exp(log_phi)), state[: dims.d].copy(), log_phi)
 
 
 def ode_flow(gen, dims: Dims, t: float, u, tol: Tolerances = Tolerances()) -> FlowEvaluation:
     """Evaluate the transform pair at a single (t, u) by Riccati integration.
 
-    The one-lane case of :func:`flow_on_grid`.  ``u`` must lie in the
-    admissible half-space; arguments outside it are rejected rather than
-    extended.  A domain exit before t is reported through ``in_Q=False`` with
-    the evaluation frozen at the exit time.
+    The one-cell case of :func:`flow_on_grid`, read through
+    :meth:`OdeFlowSource.on_grid`: the same validation, a hard integration
+    error raises :class:`FlowIntegrationError`, and a domain exit before t is
+    the evaluation at t with ``in_Q=False``.
     """
-    u_arr = as_point(u, dims)
-    if t < 0:
-        raise ValueError("flow time must be nonnegative")
-    if classify_region(u_arr, dims, tol) is Region.OUTSIDE:
-        raise ValueError(f"transform argument {u_arr} lies outside the admissible half-space")
-    states, exit_s, errors = _flow_lanes(gen, dims, [u_arr], [float(t)], tol)
-    if errors[0] is not None:
-        raise errors[0]
-    if not math.isnan(exit_s[0]):
-        return _exited(float(exit_s[0]), u_arr, dims)
-    return _evaluation(float(t), u_arr, states[0, 0], dims)
+    return OdeFlowSource(gen, dims, tol).on_grid([t], [u])[0][0]
 
 
 @dataclass
@@ -350,22 +336,24 @@ def flow_on_grid(gen, dims: Dims, t_grid, u_grid, tol: Tolerances = Tolerances()
 
     Every u column is a lane of one Dormand-Prince solve through the sorted
     t checkpoints; a column that exits the domain or fails goes out of the
-    active set without holding up the others.  Results agree with pointwise
-    :func:`ode_flow` to within the integration tolerance.
+    active set without holding up the others; its cells from the exit on are
+    ``in_Q=False`` at their own t.  Results agree with one-column calls to
+    within the integration tolerance.
     """
     ts = np.asarray(t_grid, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
         raise ValueError("t_grid must be a nonempty 1-d array")
-    if np.any(np.diff(ts) <= 0) or ts[0] < 0:
+    times = ts.tolist()
+    # Python comparisons: cheaper than np.diff on the one-cell grids of the p/q recursion
+    if times[0] < 0 or any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError("t_grid must be strictly increasing and nonnegative")
     points = [as_point(u, dims) for u in u_grid]
     for j, u_arr in enumerate(points):
         if classify_region(u_arr, dims, tol) is Region.OUTSIDE:
             raise ValueError(f"u_grid[{j}] lies outside the admissible half-space")
 
-    times = [float(t) for t in ts]
     try:
-        states, _exit_s, lane_errors = _flow_lanes(gen, dims, points, times, tol)
+        states, lane_errors = _flow_lanes(gen, dims, points, times, tol)
     except FlowIntegrationError as exc:  # a malformed generator fails every column
         states, lane_errors = None, [exc] * len(points)
     rows = [[None] * len(points) for _ in times]
@@ -404,9 +392,6 @@ class OdeFlowSource:
         self.dims = dims
         self.tol = tol
 
-    def at(self, t: float, u) -> FlowEvaluation:
-        return ode_flow(self.gen, self.dims, t, u, self.tol)
-
     def on_grid(self, t_grid, u_list) -> list:
         grid = flow_on_grid(self.gen, self.dims, t_grid, u_list, self.tol)
         if grid.errors:
@@ -420,9 +405,6 @@ class ClosedFlowSource:
 
     def __init__(self, fn: Callable[[float, np.ndarray], FlowEvaluation]):
         self.fn = fn
-
-    def at(self, t: float, u) -> FlowEvaluation:
-        return self.fn(t, u)
 
     def on_grid(self, t_grid, u_list) -> list:
         return [[self.fn(float(t), u) for u in u_list] for t in t_grid]

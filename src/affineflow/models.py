@@ -451,8 +451,8 @@ def uniform_times(horizon: float, grid_step: float) -> np.ndarray:
     return np.arange(n_steps + 1) * grid_step
 
 
-# Paths per sampler call in ``sample_grid`` and per transform block in
-# ``movingframe.transformed_state_source``; it bounds their working arrays.
+# Paths per sampler call in ``sample_grid``; it bounds the samplers' working
+# arrays, the frame transform's full-resolution blocks included.
 CHUNK_PATHS = 4096
 
 

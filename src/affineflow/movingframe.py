@@ -10,16 +10,16 @@ bundles everything into a simulate-transform-certify pipeline.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from . import models
 from .core import Dims, Region, Tolerances, as_point, classify_region
 from .flow import FlowIntegrationError, flow_source_for, matrix_exp
-from .models import AffineModel, sample_grid, uniform_times
+from .models import AffineModel, _sub_seeds, sample_grid, uniform_times
 from .verify import CheckReport, _top_witnesses, extract_beta
 
 __all__ = [
@@ -98,7 +98,9 @@ def transform_values(values: np.ndarray, times: np.ndarray, frame: FrameMatrix) 
         raise ValueError(f"values shape {x.shape} does not match grid/dims")
     integral = np.zeros_like(x)
     np.cumsum(x[..., :-1, :] * dt[:, None], axis=-2, out=integral[..., 1:, :])
-    return x - integral @ frame.K
+    # subtract into the product's buffer: one full-size temporary fewer at the peak
+    out = integral @ frame.K
+    return np.subtract(x, out, out=out)
 
 
 def inverse_values(values: np.ndarray, times: np.ndarray, frame: FrameMatrix) -> np.ndarray:
@@ -201,7 +203,7 @@ def pq_recursion(source, frame: FrameMatrix, t: float, u, N: int,
                 f"intermediate argument left the admissible set at step k={k}, "
                 f"component {bad} (value {v[bad]})"
             )
-        ev = source.at(h, v)
+        ev = source.on_grid([h], [v])[0][0]
         if not ev.in_Q:
             raise FrameRecursionError(f"flow left its domain at step k={k}")
         p = ev.phi * p
@@ -234,43 +236,47 @@ def pq_extrapolate(flow_source, frame: FrameMatrix, t: float, u,
 # transformed sampling and the certification pipeline
 
 
+class _FrameSampler:
+    """Sampler of the frame-transformed process, for :func:`models.sample_grid`.
+
+    ``sample_chunk`` runs the base sampler on the uniform grid of step
+    ``internal_dt`` up to the last record time, with the same generators, so
+    the running integral of the transform is resolved; it transforms that
+    block and returns the record-time columns.  Record times must lie on the
+    internal grid.
+    """
+
+    def __init__(self, base, frame: FrameMatrix, internal_dt: float):
+        self.base = base
+        self.frame = frame
+        self.internal_dt = internal_dt
+
+    def sample_chunk(self, x0, times, rngs):
+        fine = uniform_times(float(times[-1]), self.internal_dt)
+        idx = np.minimum(np.searchsorted(fine, times), fine.size - 1)
+        if np.max(np.abs(fine[idx] - times)) > 1e-9:
+            raise ValueError("record times must lie on the internal uniform grid")
+        block = self.base.sample_chunk(x0, fine, rngs)
+        return transform_values(block, fine, self.frame)[:, idx, :]
+
+
 def transformed_state_source(model: AffineModel, frame: FrameMatrix,
                              internal_dt: float = 1e-3):
     """State source for the frame-transformed process.
 
     Returns a callable with the (x0, record_times, n_paths, seed) -> values
-    signature the empirical tests accept in place of a model (row p is path p
-    of ``sample_grid`` on the same seed, transformed).  Internally the base
-    process is simulated on a uniform grid of step ``internal_dt`` so the
-    running integral of the transform is resolved, and only the requested
-    record times are returned.  Record times must lie on the internal grid.
-    Paths are simulated and transformed ``models.CHUNK_PATHS`` at a time, so
-    the full-resolution arrays never hold more than one block.
+    signature the empirical tests accept in place of a model: ``sample_grid``
+    on a copy of ``model`` whose sampler is :class:`_FrameSampler`, so row p
+    is path p of ``sample_grid`` on the same seed, transformed.  The copy
+    carries no flow, so nothing reads the base model's flow as the
+    transformed one's.  ``sample_grid`` chunks the paths, so the
+    full-resolution arrays never hold more than one chunk.
     """
     if internal_dt <= 0:
         raise ValueError("internal_dt must be positive")
-
-    def source(x0, record_times, n_paths, seed):
-        ts = np.asarray(record_times, dtype=float)
-        if ts.size == 0 or ts[0] != 0 or np.any(np.diff(ts) <= 0):
-            raise ValueError("record times must start at 0 and increase strictly")
-        horizon = float(ts[-1])
-        if horizon == 0:
-            fine = np.array([0.0])
-        else:
-            fine = uniform_times(horizon, internal_dt)
-        idx = np.searchsorted(fine, ts)
-        idx = np.minimum(idx, fine.size - 1)
-        if np.max(np.abs(fine[idx] - ts), initial=0.0) > 1e-9:
-            raise ValueError("record times must lie on the internal uniform grid")
-        out = np.empty((n_paths, ts.size, frame.dims.d))
-        for start in range(0, n_paths, models.CHUNK_PATHS):
-            stop = min(start + models.CHUNK_PATHS, n_paths)
-            block = sample_grid(model, x0, fine, stop - start, seed, path_offset=start)
-            out[start:stop] = transform_values(block, fine, frame)[:, idx, :]
-        return out
-
-    return source
+    sampler = _FrameSampler(model.sampler, frame, internal_dt)
+    transformed = replace(model, sampler=sampler, gen=None, closed_flow=None, beta=None)
+    return functools.partial(sample_grid, transformed)
 
 
 class FramePipelineError(RuntimeError):
@@ -331,7 +337,7 @@ def frame_pipeline(model: AffineModel, t: float, u_set, x0, n_paths: int,
     u_list = [as_point(u, dims) for u in u_set]
     if not u_list:
         raise ValueError("u_set must be nonempty")
-    seeds = models._sub_seeds(seed, 3)
+    seeds = _sub_seeds(seed, 3)
 
     # stage 1: frame
     try:
@@ -352,7 +358,9 @@ def frame_pipeline(model: AffineModel, t: float, u_set, x0, n_paths: int,
         record = np.array([0.0, float(t)])
         z_end = z_source(x0_arr, record, n_paths, seeds[0])[:, -1, :]
         fine = uniform_times(float(t), internal_dt)
-        sample = z_source(x0_arr, fine, min(n_sample_paths, n_paths), seeds[0])
+        n_sample = min(n_sample_paths, n_paths)
+        sample = (z_source(x0_arr, fine, n_sample, seeds[0]) if n_sample
+                  else np.empty((0, fine.size, dims.d)))
     except (ValueError, FlowIntegrationError) as exc:
         raise FramePipelineError("simulate_transform", str(exc)) from exc
 

@@ -101,7 +101,7 @@ def estimate_FR(source, u, h_schedule=(1e-2, 5e-3, 2.5e-3),
     u_arr = np.asarray(u, dtype=np.complex128)
     rows = []
     for h in hs:
-        ev = source.at(float(h), u_arr)
+        ev = source.on_grid([float(h)], [u_arr])[0][0]
         if not ev.in_Q:
             raise FRExtrapolationError(f"flow left its domain at step h={h}")
         rows.append(np.concatenate([[(ev.phi - 1.0) / h], (ev.psi - u_arr) / h]))
@@ -235,7 +235,7 @@ def riccati_consistency(source, gen, t: float, u, threshold: float = 1e-8) -> Ch
             f"after {_MAX_REFINEMENTS} refinements"
         )
 
-    ev = source.at(float(t), u_arr)
+    ev = source.on_grid([float(t)], [u_arr])[0][0]
     res_r = float(np.max(np.abs(int_r - (ev.psi - u_arr))))
     res_f = abs(int_f - ev.log_phi)
     violation = max(res_r, res_f)
@@ -278,8 +278,8 @@ def u_jacobian(source, dims: Dims, t: float, u, fd_step: float = 1e-6,
             )
         e = np.zeros(dims.d, dtype=np.complex128)
         e[i] = delta
-        hi = source.at(float(t), u_arr + e)
-        lo = source.at(float(t), u_arr - e)
+        hi = source.on_grid([float(t)], [u_arr + e])[0][0]
+        lo = source.on_grid([float(t)], [u_arr - e])[0][0]
         out[0, col] = (hi.phi - lo.phi) / (2 * delta)
         out[1:, col] = (hi.psi - lo.psi) / (2 * delta)
     return out

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .core import Dims, Tolerances, in_domain_interior
-from .flow import FlowEvaluation, flow_source_for, matrix_exp
+from .flow import matrix_exp
 
 __all__ = [
     "CheckReport",
@@ -295,7 +295,7 @@ def extract_beta(source, dims: Dims, threshold: float = 1e-8) -> tuple[np.ndarra
     for j in range(n):
         e = np.zeros(dims.d, dtype=np.complex128)
         e[dims.m + j] = 1j
-        ev = source.at(_BETA_PROBE_T, e)
+        ev = source.on_grid([_BETA_PROBE_T], [e])[0][0]
         cols.append(ev.psi[dims.J] / 1j)
     m_mat = np.column_stack(cols)
     imag_leak = float(np.max(np.abs(m_mat.imag)))
@@ -319,7 +319,7 @@ def extract_beta(source, dims: Dims, threshold: float = 1e-8) -> tuple[np.ndarra
     for t in _BETA_CHECK_TIMES:
         e_tb = matrix_exp(beta, float(t))
         for u in sample_imaginary_points(dims, 3, rng):
-            ev = source.at(float(t), u)
+            ev = source.on_grid([float(t)], [u])[0][0]
             predicted = e_tb @ u[dims.J]
             v = float(np.max(np.abs(ev.psi[dims.J] - predicted), initial=0.0))
             max_violation = max(max_violation, v)
@@ -490,23 +490,23 @@ class TestFunction:
         return ys, w * g / mass
 
 
-def feller_decay(model, test_fn: TestFunction, t: float, ray,
-                 tol: Tolerances = Tolerances(), flow_source=None) -> CheckReport:
-    """Decay of the propagated test function along a ray to infinity.
+def feller_decay(source, model, test_fn: TestFunction, t: float, rays) -> CheckReport:
+    """Decay of the propagated test function along rays to infinity.
 
-    The time-t expectation of the test function is assembled from the flow by
-    Fourier quadrature over the window; along the given ray of states the
-    modulus must decay below 5% of its initial value, and its
-    envelope over consecutive thirds of the ray must be nonincreasing (the
-    pointwise values oscillate along free-component rays, so monotonicity is
-    asserted for the envelope, not per sample).
+    The time-t expectation of the test function is assembled from ``source``
+    by Fourier quadrature over the window, with one flow call for all
+    quadrature columns; along each ray of states the modulus must decay
+    below 5% of its initial value, and its envelope over consecutive thirds
+    of the ray must be nonincreasing (the pointwise values oscillate along
+    free-component rays, so monotonicity is asserted for the envelope, not
+    per sample).  The violation is the worst over the rays; witnesses follow
+    the ray order.
     """
     dims = model.dims
     if dims.n != 1:
         raise ValueError("the decay probe is implemented for exactly one free component")
     if model.beta is None:
         raise ValueError("model must carry its free-component drift matrix")
-    source = flow_source if flow_source is not None else flow_source_for(model, tol)
 
     ys, gw = test_fn.quadrature()
     u_list = []
@@ -515,42 +515,37 @@ def feller_decay(model, test_fn: TestFunction, t: float, ray,
         u[dims.I] = test_fn.u_I
         u[dims.m] = 1j * y
         u_list.append(u)
-    if t > 0:
-        evals = source.on_grid([float(t)], u_list)[0]
-    else:
-        evals = [FlowEvaluation(0.0, u, 1 + 0j, u.copy(), 0j) for u in u_list]
+    evals = source.on_grid([float(t)], u_list)[0]
     phis = np.array([ev.phi for ev in evals])
     psis = np.stack([ev.psi for ev in evals])
     scale = float(matrix_exp(model.beta, float(t))[0, 0])
 
-    ray_pts = [np.asarray(x, dtype=float) for x in ray]
-    values = np.empty(len(ray_pts))
-    for i, x in enumerate(ray_pts):
-        cone_part = np.exp(psis[:, dims.I] @ x[dims.I]) if dims.m else 1.0
-        free_phase = np.exp(1j * ys * scale * x[dims.m])
-        integrand = phis * np.ravel(cone_part) * free_phase * gw
-        values[i] = abs(np.sum(integrand))
+    specs, witnesses = [], []
+    worst = -math.inf
+    for ray in rays:
+        ray_pts = [np.asarray(x, dtype=float) for x in ray]
+        values = np.empty(len(ray_pts))
+        for i, x in enumerate(ray_pts):
+            cone_part = np.exp(psis[:, dims.I] @ x[dims.I]) if dims.m else 1.0
+            free_phase = np.exp(1j * ys * scale * x[dims.m])
+            integrand = phis * np.ravel(cone_part) * free_phase * gw
+            values[i] = abs(np.sum(integrand))
 
-    initial = values[0]
-    if initial <= 0:
-        raise ValueError("test function vanished at the ray start")
-    final_ratio = values[-1] / initial
-    third = max(1, len(values) // 3)
-    env = [float(np.max(values[i * third: (i + 1) * third if i < 2 else len(values)]))
-           for i in range(3)]
-    env_violation = max(env[1] / env[0] - 1.0, env[2] / env[1] - 1.0)
-    max_violation = max(final_ratio - _DECAY_RATIO, env_violation)
-    witnesses = []
-    if max_violation > 0:
-        witnesses = [{
-            "inputs": {"t": float(t), "ray_start": ray_pts[0], "ray_end": ray_pts[-1]},
-            "observed": {"final_ratio": final_ratio, "envelope": env},
-            "expected": f"final ratio < {_DECAY_RATIO}, nonincreasing envelope",
-        }]
-    return CheckReport(
-        "feller_decay",
-        f"t={t}, {len(ray_pts)} ray points, window=bump on {_SUPPORT}",
-        max_violation,
-        0.0,
-        witnesses,
-    )
+        initial = values[0]
+        if initial <= 0:
+            raise ValueError("test function vanished at the ray start")
+        final_ratio = values[-1] / initial
+        third = max(1, len(values) // 3)
+        env = [float(np.max(values[i * third: (i + 1) * third if i < 2 else len(values)]))
+               for i in range(3)]
+        env_violation = max(env[1] / env[0] - 1.0, env[2] / env[1] - 1.0)
+        violation = max(final_ratio - _DECAY_RATIO, env_violation)
+        worst = max(worst, violation)
+        specs.append(f"t={t}, {len(ray_pts)} ray points, window=bump on {_SUPPORT}")
+        if violation > 0:
+            witnesses.append({
+                "inputs": {"t": float(t), "ray_start": ray_pts[0], "ray_end": ray_pts[-1]},
+                "observed": {"final_ratio": final_ratio, "envelope": env},
+                "expected": f"final ratio < {_DECAY_RATIO}, nonincreasing envelope",
+            })
+    return CheckReport("feller_decay", " | ".join(specs), worst, 0.0, witnesses)

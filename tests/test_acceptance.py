@@ -95,7 +95,7 @@ def test_criterion_2_free_drift_recovery(catalog, capsys):
         for t in (0.3, 0.7, 1.1, 1.7):
             expected = matrix_exp(model.beta, t)
             for u in sample_imaginary_points(model.dims, 5, rng):
-                psi = source.at(t, u).psi
+                psi = source.on_grid([t], [u])[0][0].psi
                 ident_err = max(ident_err, float(np.max(np.abs(
                     psi[J] - expected @ u[J]))))
     _record(capsys, 2, "free-drift recovery",
@@ -113,7 +113,7 @@ def test_criterion_3_interior_stays_interior(cir, heston0, heston1, capsys):
         u_pts = sample_interior_points(model.dims, 100, rng)
         ts = rng.uniform(0.0, 10.0, 100)
         for t, u in zip(ts, u_pts):
-            ev = source.at(float(t), u)
+            ev = source.on_grid([float(t)], [u])[0][0]
             assert ev.in_Q
             min_margin = min(min_margin, -float(np.max(ev.psi[model.dims.I].real)))
     _record(capsys, 3, "interior preservation", min_margin > 0.0,
@@ -239,7 +239,7 @@ def test_criterion_7_positive_definiteness(catalog, cir, heston0, capsys):
                  for _ in range(50)]
 
         def theta(y, source=source, x0=x0):
-            ev = source.at(0.5, 1j * np.asarray(y, dtype=float))
+            ev = source.on_grid([0.5], [1j * np.asarray(y, dtype=float)])[0][0]
             return ev.phi * np.exp(ev.psi @ x0)
 
         rep = posdef_certificate(theta, pairs, threshold=1e-8)
@@ -275,11 +275,11 @@ def test_criterion_8_expectation_decay(heston0, capsys):
     radii = np.linspace(0.0, 40.0, 30)
     worst = -np.inf
     for t in (0.1, 1.0):
-        for direction in (np.array([0.0, 1.0]), np.array([1.0, 0.0])):
-            ray = [x0 + r * direction for r in radii]
-            rep = feller_decay(heston0, tf, t, ray, tol=ODE_TOL, flow_source=source)
-            assert rep.passed, rep.grid_spec
-            worst = max(worst, rep.max_violation)
+        rays = [[x0 + r * direction for r in radii]
+                for direction in (np.array([0.0, 1.0]), np.array([1.0, 0.0]))]
+        rep = feller_decay(source, heston0, tf, t, rays)
+        assert rep.passed, rep.grid_spec
+        worst = max(worst, rep.max_violation)
     _record(capsys, 8, "expectation decay", worst <= 0.0,
             f"worst decay slack {worst:.2e} (final ray value below 5% of start, "
             "both coordinate rays, t in {0.1, 1})")

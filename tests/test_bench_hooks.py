@@ -66,6 +66,32 @@ def test_sample_grid_hands_each_sampler_a_list_of_generators(levy, cir, heston0,
                    for r in seen), model.name
 
 
+def test_transformed_source_hook_and_the_base_sampler_calls(tracer, heston1, monkeypatch):
+    """The tracer wraps the returned source; the base sampler sees the fine grid in chunks."""
+    frame = movingframe.build_frame(heston1.beta, heston1.dims)
+    source = movingframe.transformed_state_source(heston1, frame, internal_dt=0.05)
+    record = np.array([0.0, 0.25, 0.5])
+    t = tracer.Tracer()
+    traced = t._after_transformed_source((heston1, frame), {}, source)
+    with t.operation("op"):
+        assert np.array_equal(traced([0.3, 0.5], record, 10, 6), source([0.3, 0.5], record, 10, 6))
+
+    monkeypatch.setattr(models, "CHUNK_PATHS", 4)
+    seen = []
+    sample_chunk = type(heston1.sampler).sample_chunk
+
+    def recording(self, x0, times, rngs):
+        seen.append((np.array(times), rngs))
+        return sample_chunk(self, x0, times, rngs)
+
+    monkeypatch.setattr(type(heston1.sampler), "sample_chunk", recording)
+    source([0.3, 0.5], record, 10, 6)
+    assert [len(rngs) for _, rngs in seen] == [4, 4, 2]
+    assert all(np.array_equal(times, models.uniform_times(0.5, 0.05)) for times, _ in seen)
+    assert all(type(rngs) is list and all(type(g) is np.random.Generator for g in rngs)
+               for _, rngs in seen)
+
+
 def test_flow_on_grid_hook_reads_u_grid_evals_and_errors(tracer):
     assert list(inspect.signature(flow.flow_on_grid).parameters)[3] == "u_grid"
 
@@ -108,6 +134,6 @@ def test_probe_samplers_take_dims_count_rng(heston0):
 
 def test_closed_source_and_closed_flow_fields(cir):
     source = flow.flow_source_for(cir, Tolerances(ode_rel=1e-10, ode_abs=1e-12), prefer_closed=True)
-    assert callable(source.at) and callable(source.on_grid)
+    assert callable(source.on_grid)
     ev = cir.closed_flow(0.5, np.array([-1.0 + 0j]))
     assert isinstance(ev.phi, complex) and ev.psi.shape == (1,)

@@ -91,18 +91,20 @@ def test_tolerance_controls_accuracy(cir):
 
 
 def test_domain_exit_when_scalar_vanishes():
-    """F = -1200 sends log phi through the vanishing floor at t ~ 0.576.
+    """F = -1200 sends log phi through the vanishing floor at t ~ 0.5756.
 
-    The guard fires at the end of an accepted step, so the reported exit time
-    lies between the true crossing and the requested horizon.
+    Checkpoints bracket the crossing: the cell before it is in Q, every cell
+    after it is ``in_Q=False`` at its own requested t.
     """
     gen = GeneratorPair(
         F=lambda u: -1200.0 + 0j, R=lambda u: np.zeros(1, dtype=np.complex128)
     )
+    rows = OdeFlowSource(gen, Dims(1, 0)).on_grid([0.57, 0.58, 1.0], [[-1.0]])
+    assert [row[0].in_Q for row in rows] == [True, False, False]
+    assert [row[0].t for row in rows] == [0.57, 0.58, 1.0]
+    assert math.isnan(rows[-1][0].phi.real) and np.all(np.isnan(rows[-1][0].psi.real))
     ev = ode_flow(gen, Dims(1, 0), 1.0, [-1.0])
-    assert not ev.in_Q
-    assert 0.57 < ev.t <= 1.0
-    assert math.isnan(ev.phi.real) and np.all(np.isnan(ev.psi.real))
+    assert not ev.in_Q and ev.t == 1.0
 
 
 def test_domain_exit_when_fiber_leaves_halfspace():
@@ -110,9 +112,10 @@ def test_domain_exit_when_fiber_leaves_halfspace():
     gen = GeneratorPair(
         F=lambda u: 0j, R=lambda u: np.array([5.0 + 0j])
     )
+    rows = OdeFlowSource(gen, Dims(1, 0)).on_grid([0.09, 0.11, 1.0], [[-0.5]])
+    assert [row[0].in_Q for row in rows] == [True, False, False]
     ev = ode_flow(gen, Dims(1, 0), 1.0, [-0.5])
-    assert not ev.in_Q
-    assert 0.1 < ev.t <= 1.0
+    assert not ev.in_Q and ev.t == 1.0
 
 
 def test_flow_on_grid_matches_pointwise(heston0):
@@ -190,7 +193,7 @@ def test_matrix_exp_frozen_cases():
 def test_flow_sources(cir, heston1, control):
     ode_src = OdeFlowSource(cir.gen, cir.dims)
     direct = ode_flow(cir.gen, cir.dims, 0.5, [-1.0])
-    assert _gap(ode_src.at(0.5, [-1.0]), direct) == 0.0
+    assert _gap(ode_src.on_grid([0.5], [[-1.0]])[0][0], direct) == 0.0
 
     closed_src = ClosedFlowSource(cir.closed_flow)
     rows = closed_src.on_grid([0.0, 0.5], [np.array([-1.0 + 0j])])

@@ -157,7 +157,7 @@ def test_fit_linearity_recovers_decay_factor():
     samples = []
     for y in (0.2, -0.35, 0.5, 0.75, -0.6):
         u = np.array([0j, 1j * y])
-        ev = src.at(0.5, u)
+        ev = src.on_grid([0.5], [u])[0][0]
         samples.append((np.array([0.0, y]), ev.psi[1]))
     fit = fit_linearity(samples, component=1, k_indices=[1], radius=1.0)
     assert abs(fit.zeta[0] - 0.7408182206817179) < 1e-8
@@ -228,17 +228,17 @@ def test_feller_decay_along_both_rays(heston0):
     src = ClosedFlowSource(heston0.closed_flow)
     free_ray = [np.array([0.3, r]) for r in np.linspace(0.0, 40.0, 30)]
     cone_ray = [np.array([0.3 + r, 0.0]) for r in np.linspace(0.0, 40.0, 30)]
-    for ray in (free_ray, cone_ray):
-        report = feller_decay(heston0, fn, 1.0, ray, flow_source=src)
-        assert report.passed, report.grid_spec
+    report = feller_decay(src, heston0, fn, 1.0, [free_ray, cone_ray])
+    assert report.passed, report.grid_spec
 
 
 def test_feller_decay_validation(cir, levy, control):
     fn = verify.TestFunction(u_I=np.array([-1.0 + 0j]))
     ray = [np.array([0.0]), np.array([1.0])]
     with pytest.raises(ValueError, match="free component"):
-        feller_decay(cir, fn, 0.5, ray)
+        feller_decay(ClosedFlowSource(cir.closed_flow), cir, fn, 0.5, [ray])
     with pytest.raises(ValueError, match="free component"):
-        feller_decay(levy, verify.TestFunction(u_I=np.zeros(0, dtype=complex) - 0j), 0.5, ray)
+        feller_decay(ClosedFlowSource(levy.closed_flow), levy,
+                     verify.TestFunction(u_I=np.zeros(0, dtype=complex) - 0j), 0.5, [ray])
     with pytest.raises(ValueError, match="drift"):
-        feller_decay(control, verify.TestFunction(u_I=np.zeros(0)), 0.5, ray)
+        feller_decay(None, control, verify.TestFunction(u_I=np.zeros(0)), 0.5, [ray])
