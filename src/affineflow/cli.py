@@ -42,14 +42,14 @@ from .verify import (
     CheckReport,
     MatrixLogError,
     TestFunction,
-    _posdef_points,
-    _posdef_report,
     check_monotonicity,
     check_property_A,
     check_semiflow,
     extract_beta,
     feller_decay,
     fit_linearity,
+    posdef_certificate,
+    posdef_points,
     report_to_json,
     sample_imaginary_points,
     sample_interior_points,
@@ -236,8 +236,7 @@ def _chk_property_a(cfg, model, source, seed):
     dims = model.dims
     rng = np.random.default_rng(seed)
     u_pts = sample_interior_points(dims, 20, rng)
-    return check_property_A(source, _positive_times(cfg), u_pts, dims,
-                            tol=cfg.thresholds.tolerances())
+    return check_property_A(source, _positive_times(cfg), u_pts, dims)
 
 
 def _chk_property_b(cfg, model, source, seed):
@@ -285,8 +284,8 @@ def _chk_posdef(cfg, model, source, seed):
     pairs = [(rng.normal(0.0, 0.7, dims.d), rng.normal(0.0, 0.7, dims.d))
              for _ in range(50)]
     # theta(y) = E exp(<i y, X_t>) from x0, at every probe point in one flow call
-    row = source.on_grid([t], [1j * y for y in _posdef_points(pairs)])[0]
-    return _posdef_report(pairs, [ev.phi * np.exp(ev.psi @ x0) for ev in row], 1e-10)
+    row = source.on_grid([t], [1j * y for y in posdef_points(pairs)])[0]
+    return posdef_certificate(pairs, [ev.phi * np.exp(ev.psi @ x0) for ev in row], 1e-10)
 
 
 def _chk_factorization(cfg, model, source, seed):
@@ -457,14 +456,11 @@ def cmd_frame(cfg: RunConfig, json_out: bool = False) -> int:
         n_sample_paths=cfg.frame.sample_paths,
     )
 
-    per_n = []
-    for i, states in enumerate(result.pq_states):
-        u = u_set[i]
-        per_n.append([
-            {"N": int(st.N),
-             "q_free_defect": float(np.max(np.abs(st.q[dims.J] - u[dims.J]), initial=0.0))}
-            for st in states
-        ])
+    u_free = np.array(u_set)[:, dims.J]
+    defects = [np.max(np.abs(st.q[:, dims.J] - u_free), axis=1, initial=0.0).tolist()
+               for st in result.pq_states]
+    per_n = [[{"N": int(st.N), "q_free_defect": d[i]} for st, d in zip(result.pq_states, defects)]
+             for i in range(len(u_set))]
     payload = {
         "report": json.loads(report_to_json(result.report)),
         "beta": [[float(b) for b in row] for row in np.atleast_2d(result.beta)],

@@ -118,6 +118,8 @@ class RunConfig:
                               path=self.source_path) from exc
 
     def with_seed(self, seed: int) -> "RunConfig":
+        if seed < 0:
+            raise ConfigError(f"sim.seed must be nonnegative, got {seed}")
         return dataclasses.replace(self, sim=dataclasses.replace(self.sim, seed=int(seed)))
 
     def with_out_dir(self, out_dir: str) -> "RunConfig":
@@ -360,6 +362,11 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
                                   lineno, value_col, path)
             if key in ("grid.s", "frame.n_schedule") and any(v <= 0 for v in value):
                 raise ConfigError(f"{key} entries must be positive",
+                                  lineno, value_col, path)
+            if key == "frame.n_schedule" and (len(value) < 2
+                                              or max(value) != 2 * sorted(value)[-2]):
+                raise ConfigError("frame.n_schedule needs at least two entries, the two largest "
+                                  "in ratio 2 (the p/q limit extrapolates from them)",
                                   lineno, value_col, path)
             assigned[key] = (slot, value)
         else:

@@ -62,23 +62,23 @@ class Region(enum.Enum):
     OUTSIDE = "outside"
 
 
+REGION_EPS = 1e-12   # band width for region classification and domain-exit tests
+Q_ZERO_EPS = 1e-300  # |phi| level treated as a vanishing transform (domain exit)
+
+
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical knobs used across the package.
+    """Local error targets of the adaptive flow integrator.
 
-    region_eps   band width for region classification and domain-exit tests
-    ode_rel      relative local error target of the adaptive flow integrator
-    ode_abs      absolute local error target of the adaptive flow integrator
-    q_zero_eps   |phi| level treated as a vanishing transform (domain exit)
+    ode_rel      relative local error target
+    ode_abs      absolute local error target
     """
 
-    region_eps: float = 1e-12
     ode_rel: float = 1e-10
     ode_abs: float = 1e-12
-    q_zero_eps: float = 1e-300
 
     def __post_init__(self) -> None:
-        for name in ("region_eps", "ode_rel", "ode_abs", "q_zero_eps"):
+        for name in ("ode_rel", "ode_abs"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"tolerance {name} must be strictly positive")
 
@@ -101,16 +101,16 @@ def as_state(x, dims: Dims, nonneg_eps: float = 0.0) -> np.ndarray:
     return arr
 
 
-def classify_region(u, dims: Dims, tol: Tolerances = Tolerances()) -> Region:
+def classify_region(u, dims: Dims) -> Region:
     """Classify a transform argument against the admissible half-space.
 
     Purely imaginary points are reported as such even though for m >= 1 they
     also sit on the boundary of the half-space; interiority requires every
-    cone component to have real part below ``-region_eps`` while the real
+    cone component to have real part below ``-REGION_EPS`` while the real
     parts of the free components stay inside the tolerance band.
     """
     arr = as_point(u, dims)
-    eps = tol.region_eps
+    eps = REGION_EPS
     re = arr.real
     re_I = re[dims.I]
     re_J = re[dims.J]
@@ -125,12 +125,6 @@ def classify_region(u, dims: Dims, tol: Tolerances = Tolerances()) -> Region:
     return Region.OUTSIDE
 
 
-def in_domain_interior(u, dims: Dims, tol: Tolerances = Tolerances()) -> bool:
-    """True when every cone component is strictly inside (vacuous for m=0)."""
-    arr = as_point(u, dims)
-    eps = tol.region_eps
-    re_I = arr.real[dims.I]
-    re_J = arr.real[dims.J]
-    free_ok = re_J.size == 0 or np.max(np.abs(re_J)) <= eps
-    cone_ok = re_I.size == 0 or np.max(re_I) < -eps
-    return bool(free_ok and cone_ok)
+def in_domain_interior(u, dims: Dims) -> bool:
+    """True when u is admissible and every cone component is strictly inside (vacuous for m=0)."""
+    return classify_region(u, dims) is (Region.INTERIOR if dims.m else Region.PURE_IMAGINARY)

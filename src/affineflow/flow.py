@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from .core import Dims, Region, Tolerances, as_point, classify_region
+from .core import Q_ZERO_EPS, REGION_EPS, Dims, Region, Tolerances, as_point, classify_region
 
 __all__ = [
     "FlowEvaluation",
@@ -257,14 +257,13 @@ def _make_rhs(gen, dims: Dims):
     return rhs
 
 
-def _make_guard(dims: Dims, tol: Tolerances):
+def _make_guard(dims: Dims):
     """Mask of the lanes whose scalar factor vanished or whose psi left the half-space."""
     # Bounds on the real parts of (psi, log phi): cone components at most
-    # region_eps, free components within region_eps of 0, log phi above the
+    # REGION_EPS, free components within REGION_EPS of 0, log phi above the
     # vanishing floor.
-    eps = tol.region_eps
-    hi = np.array([eps] * dims.d + [np.inf])
-    lo = np.array([-np.inf] * dims.m + [-eps] * dims.n + [math.log(tol.q_zero_eps)])
+    hi = np.array([REGION_EPS] * dims.d + [np.inf])
+    lo = np.array([-np.inf] * dims.m + [-REGION_EPS] * dims.n + [math.log(Q_ZERO_EPS)])
 
     def guard(s, y):
         re = y.real
@@ -287,7 +286,7 @@ def _flow_lanes(gen, dims: Dims, points: list, times: list, tol: Tolerances):
     # numpy's warnings about its values would only repeat that.
     with np.errstate(invalid="ignore", over="ignore"):
         return _dp45(_make_rhs(gen, dims), y0, times, tol.ode_rel, tol.ode_abs,
-                     _make_guard(dims, tol))
+                     _make_guard(dims))
 
 
 def _evaluation(t: float, u_arr: np.ndarray, state: np.ndarray, dims: Dims) -> FlowEvaluation:
@@ -349,7 +348,7 @@ def flow_on_grid(gen, dims: Dims, t_grid, u_grid, tol: Tolerances = Tolerances()
         raise ValueError("t_grid must be strictly increasing and nonnegative")
     points = [as_point(u, dims) for u in u_grid]
     for j, u_arr in enumerate(points):
-        if classify_region(u_arr, dims, tol) is Region.OUTSIDE:
+        if classify_region(u_arr, dims) is Region.OUTSIDE:
             raise ValueError(f"u_grid[{j}] lies outside the admissible half-space")
 
     try:

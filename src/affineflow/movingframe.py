@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Dims, Region, Tolerances, as_point, classify_region
+from .core import REGION_EPS, Dims, Region, Tolerances, as_point, classify_region
 from .flow import FlowIntegrationError, flow_source_for, matrix_exp
 from .models import AffineModel, _sub_seeds, sample_grid, uniform_times
 from .verify import CheckReport, _top_witnesses, extract_beta
@@ -140,15 +140,16 @@ class FrameRecursionError(RuntimeError):
 
 @dataclass(frozen=True)
 class PQState:
-    """Final state of the tower-law recursion with step h = t/N.
+    """Final state of the tower-law recursion with step h = t/N, one lane per argument.
 
-    ``p`` starts at 1 and ``q`` at u; the folded scheme applies N-1 updates,
-    so its stored values are p(N-1), q(N-1); the exact scheme applies N.
+    ``p`` (k,) starts at 1 and ``q`` (k, d) at the stack of arguments u; the
+    folded scheme applies N-1 updates, so its stored values are p(N-1),
+    q(N-1); the exact scheme applies N.
     """
 
     N: int
     h: float
-    p: complex
+    p: np.ndarray
     q: np.ndarray
 
     @property
@@ -156,8 +157,8 @@ class PQState:
         return self.N * self.h
 
 
-def pq_recursion(source, frame: FrameMatrix, t: float, u, N: int,
-                 tol: Tolerances = Tolerances(), *, scheme: str = "folded") -> PQState:
+def pq_recursion(source, frame: FrameMatrix, t: float, u, N: int, *,
+                 scheme: str = "folded") -> PQState:
     """Run the discrete tower-law iteration for the transformed transform pair.
 
     The ``folded`` scheme is the classical iteration
@@ -172,13 +173,18 @@ def pq_recursion(source, frame: FrameMatrix, t: float, u, N: int,
     exact scheme's limit satisfies the conditional-expectation identity of
     the transformed process, so endpoint comparisons should use it.
 
-    The argument u must be purely imaginary, and every intermediate flow
-    argument must stay in the admissible half-space (within ``region_eps``);
-    a violation reports the step index and offending component.
+    ``u`` is a (k, d) stack of purely imaginary arguments, one lane each (a
+    single argument is a one-row stack); every step evaluates all k lanes in
+    one ``source.on_grid([h], ...)`` call.  Every intermediate flow argument
+    must stay in the admissible half-space (within ``REGION_EPS``) and every
+    flow value in its domain; a violation names the lane, the step index and,
+    for the half-space, the offending component.
     """
     dims = frame.dims
-    u_arr = as_point(u, dims)
-    if np.max(np.abs(u_arr.real), initial=0.0) > tol.region_eps:
+    u_arr = np.asarray(u, dtype=np.complex128)
+    if u_arr.ndim != 2 or u_arr.shape[1] != dims.d:
+        raise ValueError(f"u must be a (k, {dims.d}) stack of arguments, got shape {u_arr.shape}")
+    if np.max(np.abs(u_arr.real), initial=0.0) > REGION_EPS:
         raise ValueError("the recursion is defined for purely imaginary arguments")
     if N < 1:
         raise ValueError("N must be at least 1")
@@ -187,46 +193,49 @@ def pq_recursion(source, frame: FrameMatrix, t: float, u, N: int,
     if scheme not in ("folded", "exact"):
         raise ValueError(f"unknown scheme {scheme!r}; choose 'folded' or 'exact'")
     h = t / N
-    shrink = np.eye(dims.d) - h * frame.K
-    node_shift = h * (frame.K @ u_arr)
-    n_steps = N - 1 if scheme == "folded" else N
+    folded = scheme == "folded"
+    shrink_rows = (np.eye(dims.d) - h * frame.K).T  # q @ shrink_rows is (id - hK) q per lane
+    node_shift = h * (u_arr @ frame.K.T)
 
-    p = 1 + 0j
+    p = np.ones(len(u_arr), dtype=np.complex128)
     q = u_arr.copy()
-    for k in range(n_steps):
-        v = shrink @ q if scheme == "folded" else q
-        if classify_region(v, dims, tol) is Region.OUTSIDE:
-            re = v.real
-            bad = (int(np.argmax(re[dims.I])) if dims.m and np.max(re[dims.I]) > tol.region_eps
-                   else dims.m + int(np.argmax(np.abs(re[dims.J]))))
-            raise FrameRecursionError(
-                f"intermediate argument left the admissible set at step k={k}, "
-                f"component {bad} (value {v[bad]})"
-            )
-        ev = source.on_grid([h], [v])[0][0]
-        if not ev.in_Q:
-            raise FrameRecursionError(f"flow left its domain at step k={k}")
-        p = ev.phi * p
-        q = ev.psi if scheme == "folded" else ev.psi - node_shift
+    for k in range(N - 1 if folded else N):
+        v = q @ shrink_rows if folded else q
+        for lane, w in enumerate(v):
+            if classify_region(w, dims) is Region.OUTSIDE:
+                re = w.real
+                bad = (int(np.argmax(re[dims.I])) if dims.m and np.max(re[dims.I]) > REGION_EPS
+                       else dims.m + int(np.argmax(np.abs(re[dims.J]))))
+                raise FrameRecursionError(
+                    f"intermediate argument of lane {lane} left the admissible set at step "
+                    f"k={k}, component {bad} (value {w[bad]})")
+        row = source.on_grid([h], v)[0]
+        for lane, ev in enumerate(row):
+            if not ev.in_Q:
+                raise FrameRecursionError(f"flow of lane {lane} left its domain at step k={k}")
+        p = np.array([ev.phi for ev in row]) * p
+        psi = np.array([ev.psi for ev in row])
+        q = psi if folded else psi - node_shift
     return PQState(N, h, p, q)
 
 
-def pq_extrapolate(flow_source, frame: FrameMatrix, t: float, u,
-                   N_schedule: Sequence[int] = (64, 128, 256),
-                   tol: Tolerances = Tolerances(), scheme: str = "folded",
-                   ) -> tuple[complex, np.ndarray, list[PQState]]:
+def pq_extrapolate(source, frame: FrameMatrix, t: float, u,
+                   N_schedule: Sequence[int] = (64, 128, 256), *, scheme: str = "folded",
+                   ) -> tuple[np.ndarray, np.ndarray, list[PQState]]:
     """Recursion limit by two-point Richardson extrapolation in 1/N.
 
-    The recursion converges at first order in 1/N, so the extrapolant
-    2 v(2N) - v(N) from the two largest schedule entries cancels the leading
-    error term.
+    ``u`` is the (k, d) stack of :func:`pq_recursion`, which runs once per
+    schedule entry on all k lanes.  The recursion converges at first order in
+    1/N, so the extrapolant 2 v(2N) - v(N) from the two largest schedule
+    entries cancels the leading error term.  Returns p (k,), q (k, d) and the
+    states in ascending N.
     """
     ns = sorted(int(n) for n in N_schedule)
     if len(ns) < 2:
         raise ValueError("need at least two N values to extrapolate")
     if ns[-1] != 2 * ns[-2]:
         raise ValueError("the two largest N values must differ by a factor of 2")
-    states = [pq_recursion(flow_source, frame, t, u, n, tol, scheme=scheme) for n in ns]
+    states = [pq_recursion(source, frame, t, u, n, scheme=scheme) for n in ns]
     p_ext = 2 * states[-1].p - states[-2].p
     q_ext = 2 * states[-1].q - states[-2].q
     return p_ext, q_ext, states
@@ -292,18 +301,21 @@ class FramePipelineResult:
     """Everything the frame pipeline produced, plus the composite report.
 
     ``report`` normalizes each certified stage by its own threshold, so the
-    composite threshold is 1.  ``transformed_sample`` holds the first few
-    transformed paths, shape (paths, len(sample_times), d), on the internal
-    grid ``sample_times`` for inspection or export.
+    composite threshold is 1.  Entry i of ``p_values`` (k,) and row i of
+    ``q_values`` (k, d) are the folded-scheme limit at the i-th u, and
+    ``p_endpoint``/``q_endpoint`` the exact-scheme one; ``pq_states`` holds
+    the folded states over the ascending N schedule.  ``transformed_sample``
+    holds the first few transformed paths, shape (paths, len(sample_times),
+    d), on the internal grid ``sample_times`` for inspection or export.
     """
 
     beta: np.ndarray
     frame: FrameMatrix
     beta_origin: str
-    p_values: list
-    q_values: list
-    p_endpoint: list
-    q_endpoint: list
+    p_values: np.ndarray
+    q_values: np.ndarray
+    p_endpoint: np.ndarray
+    q_endpoint: np.ndarray
     pq_states: list
     q_defect: float
     ecf_z: float
@@ -323,19 +335,20 @@ def frame_pipeline(model: AffineModel, t: float, u_set, x0, n_paths: int,
     Stages: (1) obtain the free-drift matrix (from the model if it carries
     one, otherwise by probing the flow) and build the frame; (2) simulate and
     transform paths; (3) run the p/q recursion over the N schedule and
-    extrapolate; (4) check the free components of q returned to the input
-    argument within ``q_tol``; (5) check the empirical transform of the
-    transformed endpoint against p exp(<q, x0>) within ``stat_sigma`` errors;
-    (6) run the sample-based free-component invariance test on the
-    transformed source.  Operational failures abort with a stage tag;
-    certification failures produce a failing composite report.
+    extrapolate, one :func:`pq_extrapolate` call per scheme with every u as a
+    lane; (4) check the free components of q returned to the input argument
+    within ``q_tol``; (5) check the empirical transform of the transformed
+    endpoint against p exp(<q, x0>) within ``stat_sigma`` errors; (6) run the
+    sample-based free-component invariance test on the transformed source.
+    Operational failures abort with a stage tag; certification failures
+    produce a failing composite report.
     """
     from .empirical import ecf_from_states, semihomogeneity_test
 
     dims = model.dims
     x0_arr = np.asarray(x0, dtype=float)
-    u_list = [as_point(u, dims) for u in u_set]
-    if not u_list:
+    u_stack = np.array([as_point(u, dims) for u in u_set])
+    if not len(u_stack):
         raise ValueError("u_set must be nonempty")
     seeds = _sub_seeds(seed, 3)
 
@@ -367,29 +380,19 @@ def frame_pipeline(model: AffineModel, t: float, u_set, x0, n_paths: int,
     # stage 3: p/q recursion in both schemes (classical for the invariance
     # certificate, exact node placement for the endpoint identity)
     try:
-        p_values, q_values, state_lists = [], [], []
-        p_endpoint, q_endpoint = [], []
-        for u in u_list:
-            p_ext, q_ext, states = pq_extrapolate(flow_src, frame, t, u, N_schedule, tol)
-            p_values.append(p_ext)
-            q_values.append(q_ext)
-            state_lists.append(states)
-            # only the folded states are reported, so the exact scheme runs
-            # just the two largest N that enter its extrapolant
-            p_ex, q_ex, _ = pq_extrapolate(flow_src, frame, t, u, sorted(N_schedule)[-2:],
-                                           tol, scheme="exact")
-            p_endpoint.append(p_ex)
-            q_endpoint.append(q_ex)
-    except (FrameRecursionError, FlowIntegrationError, ValueError) as exc:
+        p_values, q_values, pq_states = pq_extrapolate(flow_src, frame, t, u_stack, N_schedule)
+        # only the folded states are reported, so the exact scheme runs
+        # just the two largest N that enter its extrapolant
+        p_endpoint, q_endpoint, _ = pq_extrapolate(flow_src, frame, t, u_stack,
+                                                   sorted(N_schedule)[-2:], scheme="exact")
+    except (FrameRecursionError, FlowIntegrationError) as exc:
         raise FramePipelineError("pq_recursion", str(exc)) from exc
 
     witnesses = []
     # stage 4: free components of q return to u
-    q_defect = 0.0
-    for u, q in zip(u_list, q_values):
-        defect = float(np.max(np.abs(q[dims.J] - u[dims.J]), initial=0.0))
-        if defect > q_defect:
-            q_defect = defect
+    defects = np.max(np.abs(q_values[:, dims.J] - u_stack[:, dims.J]), axis=1, initial=0.0)
+    q_defect = float(np.max(defects, initial=0.0))
+    for u, q, defect in zip(u_stack, q_values, defects.tolist()):
         if defect > q_tol:
             witnesses.append((defect / q_tol, {
                 "inputs": {"stage": "q_invariance", "u": u},
@@ -399,7 +402,7 @@ def frame_pipeline(model: AffineModel, t: float, u_set, x0, n_paths: int,
 
     # stage 5: empirical transform of Z_t vs p exp(<q, x0>) from the exact scheme
     ecf_z = 0.0
-    for u, p_ext, q_ext in zip(u_list, p_endpoint, q_endpoint):
+    for u, p_ext, q_ext in zip(u_stack, p_endpoint, q_endpoint):
         est = ecf_from_states(z_end, u, t)
         predicted = p_ext * np.exp(q_ext @ x0_arr)
         gap = abs(est.value - predicted)
@@ -413,11 +416,11 @@ def frame_pipeline(model: AffineModel, t: float, u_set, x0, n_paths: int,
             }))
 
     # stage 6: free-component invariance of the transformed process
-    semihomog = semihomogeneity_test(z_source, dims, t, u_list[0], n_paths, seeds[1],
+    semihomog = semihomogeneity_test(z_source, dims, t, u_stack[0], n_paths, seeds[1],
                                      threshold=stat_sigma)
     if not semihomog.passed:
         witnesses.append((semihomog.max_violation / stat_sigma, {
-            "inputs": {"stage": "semihomogeneity", "u": u_list[0]},
+            "inputs": {"stage": "semihomogeneity", "u": u_stack[0]},
             "observed": {"z": semihomog.max_violation},
             "expected": f"z <= {stat_sigma}",
         }))
@@ -426,7 +429,7 @@ def frame_pipeline(model: AffineModel, t: float, u_set, x0, n_paths: int,
                      semihomog.max_violation / stat_sigma)
     report = CheckReport(
         "frame_pipeline",
-        (f"t={t}, {len(u_list)} u points, {n_paths} paths, N schedule {sorted(N_schedule)}, "
+        (f"t={t}, {len(u_stack)} u points, {n_paths} paths, N schedule {sorted(N_schedule)}, "
          f"beta {beta_origin}"),
         normalized,
         1.0,
@@ -435,7 +438,7 @@ def frame_pipeline(model: AffineModel, t: float, u_set, x0, n_paths: int,
     return FramePipelineResult(
         beta=beta, frame=frame, beta_origin=beta_origin,
         p_values=p_values, q_values=q_values,
-        p_endpoint=p_endpoint, q_endpoint=q_endpoint, pq_states=state_lists,
+        p_endpoint=p_endpoint, q_endpoint=q_endpoint, pq_states=pq_states,
         q_defect=q_defect, ecf_z=ecf_z, semihomog=semihomog,
         report=report, sample_times=fine, transformed_sample=sample,
     )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dims, Tolerances, as_point, in_domain_interior
+from .core import Dims, as_point, in_domain_interior
 from .verify import CheckReport
 
 __all__ = [
@@ -183,6 +183,7 @@ def estimate_FR_from_samples(source, dims: Dims, u, h: float, n_paths: int, seed
 
 _QUAD_NODES = 12       # Gauss-Legendre nodes per panel in riccati_consistency
 _MAX_REFINEMENTS = 8   # panel doublings before riccati_consistency gives up
+_FD_STEP = 1e-6        # u_jacobian's central-difference step, before the boundary shrink
 
 
 def riccati_consistency(source, gen, t: float, u, threshold: float = 1e-8) -> CheckReport:
@@ -256,8 +257,7 @@ def riccati_consistency(source, gen, t: float, u, threshold: float = 1e-8) -> Ch
     )
 
 
-def u_jacobian(source, dims: Dims, t: float, u, fd_step: float = 1e-6,
-               tol: Tolerances = Tolerances()) -> np.ndarray:
+def u_jacobian(source, dims: Dims, t: float, u) -> np.ndarray:
     """Central-difference derivatives of the transform pair in the cone arguments.
 
     Returns a (1 + d) x m complex matrix: row 0 holds the scalar-factor
@@ -266,11 +266,11 @@ def u_jacobian(source, dims: Dims, t: float, u, fd_step: float = 1e-6,
     the distance to the boundary and underflow raises.
     """
     u_arr = as_point(u, dims)
-    if not in_domain_interior(u_arr, dims, tol):
+    if not in_domain_interior(u_arr, dims):
         raise ValueError("u-derivatives need a strictly interior argument")
     out = np.empty((1 + dims.d, dims.m), dtype=np.complex128)
     for col, i in enumerate(range(dims.m)):
-        delta = min(fd_step, abs(u_arr[i].real) / 2.0)
+        delta = min(_FD_STEP, abs(u_arr[i].real) / 2.0)
         if delta < 1e-12:
             raise ValueError(
                 f"finite-difference step underflowed at component {i}: "

@@ -11,12 +11,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 
-from .core import Dims, Tolerances, in_domain_interior
+from .core import REGION_EPS, Dims, in_domain_interior
 from .flow import matrix_exp
 
 __all__ = [
@@ -28,6 +28,7 @@ __all__ = [
     "check_property_A",
     "extract_beta",
     "fit_linearity",
+    "posdef_points",
     "posdef_certificate",
     "feller_decay",
     "sample_interior_points",
@@ -219,16 +220,15 @@ def check_monotonicity(source, t_grid, pairs, threshold: float = 1e-8) -> CheckR
     )
 
 
-def check_property_A(source, t_grid, u_set, dims: Dims,
-                     tol: Tolerances = Tolerances()) -> CheckReport:
+def check_property_A(source, t_grid, u_set, dims: Dims) -> CheckReport:
     """The fiber map keeps strictly interior arguments strictly interior.
 
     Probes must be strictly interior themselves (boundary probes are
     rejected); the violation is the worst excursion of the cone components'
-    real part above ``-region_eps`` over the whole grid.
+    real part above ``-REGION_EPS`` over the whole grid.
     """
     for u in u_set:
-        if not in_domain_interior(u, dims, tol):
+        if not in_domain_interior(u, dims):
             raise ValueError(f"probe {np.asarray(u)} is not strictly interior")
     entries = []
     max_violation = 0.0
@@ -242,16 +242,16 @@ def check_property_A(source, t_grid, u_set, dims: Dims,
                 v = math.inf
             else:
                 if dims.m:
-                    v = max(0.0, float(np.max(ev.psi.real[dims.I])) + tol.region_eps)
+                    v = max(0.0, float(np.max(ev.psi.real[dims.I])) + REGION_EPS)
                 if dims.n:
                     free_leak = float(np.max(np.abs(ev.psi.real[dims.J])))
-                    v = max(v, free_leak - tol.region_eps)
+                    v = max(v, free_leak - REGION_EPS)
             max_violation = max(max_violation, v)
             if v > 0.0:
                 entries.append((v, {
                     "inputs": {"t": ev.t, "u": np.asarray(u)},
                     "observed": {"re_psi_cone": ev.psi.real[dims.I], "re_psi_free": ev.psi.real[dims.J]},
-                    "expected": f"cone real parts < -{tol.region_eps}, free real parts within {tol.region_eps}",
+                    "expected": f"cone real parts < -{REGION_EPS}, free real parts within {REGION_EPS}",
                 }))
     return CheckReport(
         "property_a",
@@ -383,26 +383,8 @@ def fit_linearity(samples: Sequence[tuple[np.ndarray, complex]], component: int,
 # positive definiteness
 
 
-def posdef_certificate(theta: Callable[[np.ndarray], complex], probe_pairs,
-                       threshold: float = 1e-10) -> CheckReport:
-    """Certificate that a candidate characteristic function is positive definite.
-
-    For each probe pair (y, z) the 3x3 matrix with entries theta(t_i - t_j)
-    over the points {0, y, -z} must be positive semidefinite.  The violation
-    combines the product inequality
-    |theta(y+z) - theta(y)theta(z)|^2 <= (1-|theta(y)|^2)(1-|theta(z)|^2),
-    the determinant sign, the Hermitian-symmetry defect, and the smallest
-    eigenvalue of the (symmetrized) matrix; the eigenvalue term is the one
-    that rejects candidates whose modulus exceeds 1, which slip through the
-    first two.
-    """
-    probe_pairs = list(probe_pairs)
-    points = _posdef_points(probe_pairs)
-    return _posdef_report(probe_pairs, [theta(p) for p in points], threshold)
-
-
-def _posdef_points(probe_pairs) -> list[np.ndarray]:
-    """Where :func:`posdef_certificate` evaluates theta: 0, then y, z, y+z, -y, -z, -y-z per pair."""
+def posdef_points(probe_pairs) -> list[np.ndarray]:
+    """Where :func:`posdef_certificate` needs theta: 0, then y, z, y+z, -y, -z, -y-z per pair."""
     if not probe_pairs:
         raise ValueError("need at least one probe pair")
     points = [np.zeros_like(np.asarray(probe_pairs[0][0], dtype=float))]
@@ -413,8 +395,23 @@ def _posdef_points(probe_pairs) -> list[np.ndarray]:
     return points
 
 
-def _posdef_report(probe_pairs, values, threshold: float) -> CheckReport:
-    """The matrix tests of :func:`posdef_certificate` on theta's values at :func:`_posdef_points`."""
+def posdef_certificate(probe_pairs, values, threshold: float = 1e-10) -> CheckReport:
+    """Certificate that a candidate characteristic function is positive definite.
+
+    ``values`` holds theta at :func:`posdef_points` of ``probe_pairs``, in that
+    order.  For each probe pair (y, z) the 3x3 matrix with entries
+    theta(t_i - t_j) over the points {0, y, -z} must be positive
+    semidefinite.  The violation combines the product inequality
+    |theta(y+z) - theta(y)theta(z)|^2 <= (1-|theta(y)|^2)(1-|theta(z)|^2),
+    the determinant sign, the Hermitian-symmetry defect, and the smallest
+    eigenvalue of the (symmetrized) matrix; the eigenvalue term is the one
+    that rejects candidates whose modulus exceeds 1, which slip through the
+    first two.
+    """
+    probe_pairs = list(probe_pairs)
+    if not probe_pairs or len(values) != 1 + 6 * len(probe_pairs):
+        raise ValueError(f"need at least one probe pair and theta at its "
+                         f"{1 + 6 * len(probe_pairs)} posdef_points, got {len(values)} values")
     th0 = complex(values[0])
     if abs(th0 - 1.0) > 1e-12:
         raise ValueError(f"theta(0) must equal 1 (got {th0})")

@@ -38,6 +38,7 @@ from affineflow.verify import (
     extract_beta,
     feller_decay,
     posdef_certificate,
+    posdef_points,
     sample_imaginary_points,
     sample_interior_points,
 )
@@ -174,8 +175,8 @@ def test_criterion_5_moving_frame(heston1, capsys):
     u = np.array([0.4j, 0.5j])
     defects = []
     for N in (64, 128, 256):
-        state = pq_recursion(source, frame, 0.5, u, N, tol=ODE_TOL)
-        defects.append(float(np.max(np.abs(state.q[dims.J] - u[dims.J]))))
+        state = pq_recursion(source, frame, 0.5, [u], N)
+        defects.append(float(np.max(np.abs(state.q[0, dims.J] - u[dims.J]))))
     q_ratios = [defects[i] / defects[i + 1] for i in range(2)]
     q_ok = all(1.7 <= r <= 2.3 for r in q_ratios)
 
@@ -242,7 +243,7 @@ def test_criterion_7_positive_definiteness(catalog, cir, heston0, capsys):
             ev = source.on_grid([0.5], [1j * np.asarray(y, dtype=float)])[0][0]
             return ev.phi * np.exp(ev.psi @ x0)
 
-        rep = posdef_certificate(theta, pairs, threshold=1e-8)
+        rep = posdef_certificate(pairs, [theta(y) for y in posdef_points(pairs)], threshold=1e-8)
         assert rep.passed, rep.grid_spec
         worst_flow = max(worst_flow, rep.max_violation)
 
@@ -253,14 +254,15 @@ def test_criterion_7_positive_definiteness(catalog, cir, heston0, capsys):
         pairs = [(rng.normal(0.0, 0.7, model.dims.d),
                   rng.normal(0.0, 0.7, model.dims.d)) for _ in range(50)]
         rep = posdef_certificate(
-            lambda y, s=states: complex(np.mean(np.exp(1j * (s @ np.asarray(y))))),
-            pairs, threshold=10.0 / np.sqrt(n))
+            pairs, [complex(np.mean(np.exp(1j * (states @ np.asarray(y)))))
+                    for y in posdef_points(pairs)], threshold=10.0 / np.sqrt(n))
         assert rep.passed, rep.grid_spec
         worst_emp = max(worst_emp, rep.max_violation)
 
     scalar_pairs = [(rng.normal(0.0, 0.7, 1), rng.normal(0.0, 0.7, 1))
                     for _ in range(50)]
-    bad = posdef_certificate(lambda y: complex(1.0 + float(y @ y)), scalar_pairs)
+    bad = posdef_certificate(scalar_pairs, [complex(1.0 + float(y @ y))
+                                            for y in posdef_points(scalar_pairs)])
     _record(capsys, 7, "positive definiteness", not bad.passed,
             f"flow-derived worst violation {worst_flow:.1e}, sampled worst "
             f"{worst_emp:.2e} (limit {10.0 / np.sqrt(n):.2e}), 50 pairs each; "

@@ -180,6 +180,15 @@ def test_verify_without_seed_demands_one(tmp_path, capsys):
 # flow subcommand
 
 
+@pytest.mark.parametrize("command", ["frame", "verify"])
+def test_negative_seed_flag_is_config_error(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path, FRAME_CFG)
+    code = main([command, "--config", cfg, "--out", str(tmp_path / "out"), "--seed", "-1"])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "out").exists()
+
+
 def test_flow_writes_table(tmp_path, capsys):
     cfg = write_cfg(tmp_path, CIR_FAST)
     out = tmp_path / "out"
@@ -326,6 +335,15 @@ def test_frame_writes_report_and_paths(tmp_path, capsys):
     assert starts == [["0.3", "0.0"]] * 5  # the transform leaves x0 unchanged
     meta = json.loads((out / "run_metadata.json").read_text())
     assert meta["command"] == "frame" and meta["u_points"] == 1
+
+
+def test_frame_artifacts_are_byte_deterministic(tmp_path):
+    cfg = write_cfg(tmp_path, FRAME_CFG.replace("sim.paths = 3000", "sim.paths = 500"))
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        main(["frame", "--config", cfg, "--out", str(out)])
+    for artifact in ("frame_report.json", "transformed_paths.csv"):
+        assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes(), artifact
 
 
 def test_frame_with_impossible_grid_is_numerical_failure(tmp_path, capsys):

@@ -100,6 +100,9 @@ def test_build_model_from_config(cir):
     ("model.name = cir\nsim.seed = -3\n", "nonnegative", 2),
     ("model.name = cir\ngrid.t = -0.5, 1.0\n", "nonnegative", 2),
     ("model.name = cir\nframe.n_schedule = 64, 0\n", "must be positive", 2),
+    ("model.name = cir\nframe.n_schedule = 64, 96\n", "ratio 2", 2),
+    ("model.name = cir\nframe.n_schedule = 64\n", "at least two", 2),
+    ("model.name = cir\nframe.n_schedule = 64, 64\n", "ratio 2", 2),
     ("model.name = cir\nframe.sample_paths = -1\n", "nonnegative", 2),
     ("model.name = cir\nsim.paths = 2.5\n", "an integer", 2),
     ("model.name = cir\nsim.antithetic = true\n", "unknown key", 2),
@@ -139,6 +142,8 @@ def test_require_seed():
     with pytest.raises(ConfigError, match="--seed"):
         cfg.require_seed("verify")
     assert cfg.with_seed(3).require_seed("verify") == 3
+    with pytest.raises(ConfigError, match="nonnegative"):
+        cfg.with_seed(-1)
 
 
 def test_thresholds_to_tolerances():

@@ -39,7 +39,7 @@ def test_tolerances_positive():
     with pytest.raises(ValueError):
         Tolerances(ode_rel=0.0)
     with pytest.raises(ValueError):
-        Tolerances(region_eps=-1e-9)
+        Tolerances(ode_abs=-1e-9)
 
 
 def test_as_point_shape():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affineflow.core import Dims, Tolerances
+from affineflow.core import Q_ZERO_EPS, Dims, Tolerances
 from affineflow.flow import (
     ClosedFlowSource,
     FlowEvaluation,
@@ -314,7 +314,7 @@ def _assert_matches_closed(model, times, us):
         for j, u in enumerate(us):
             ev, ref = grid.evals[i][j], model.closed_flow(t, u)
             if not ev.in_Q:  # the scalar factor fell through the vanishing floor
-                assert ref.log_phi.real < math.log(Tolerances().q_zero_eps) + 50
+                assert ref.log_phi.real < math.log(Q_ZERO_EPS) + 50
                 continue
             assert abs(ev.log_phi - ref.log_phi) <= 1e-6 * max(1.0, abs(ref.log_phi)), (t, u)
             assert np.all(np.abs(ev.psi - ref.psi) <= 1e-6 * np.maximum(1.0, np.abs(ref.psi))), (t, u)

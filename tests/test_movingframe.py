@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from affineflow import models
+from affineflow import flow, models
 from affineflow.core import Dims
 from affineflow.flow import ClosedFlowSource, FlowEvaluation, OdeFlowSource, matrix_exp
 from affineflow.models import sample_grid, uniform_times
@@ -126,8 +126,8 @@ def _contracting_source(rate=1.0):
 
 def test_pq_recursion_single_step_is_trivial():
     frame = build_frame([[-1.0]], Dims(0, 1))
-    state = pq_recursion(_contracting_source(), frame, 0.5, [0.8j], N=1)
-    assert state.p == 1 + 0j and np.array_equal(state.q, np.array([0.8j]))
+    state = pq_recursion(_contracting_source(), frame, 0.5, [[0.8j]], N=1)
+    assert np.array_equal(state.p, [1 + 0j]) and np.array_equal(state.q, np.array([[0.8j]]))
     assert state.h == 0.5 and state.t == 0.5
 
 
@@ -135,13 +135,15 @@ def test_pq_recursion_validation():
     frame = build_frame([[-1.0]], Dims(0, 1))
     src = _contracting_source()
     with pytest.raises(ValueError, match="purely imaginary"):
-        pq_recursion(src, frame, 0.5, [-0.1 + 0.8j], N=4)
+        pq_recursion(src, frame, 0.5, [[0.8j], [-0.1 + 0.8j]], N=4)
     with pytest.raises(ValueError, match="N must be"):
-        pq_recursion(src, frame, 0.5, [0.8j], N=0)
+        pq_recursion(src, frame, 0.5, [[0.8j]], N=0)
     with pytest.raises(ValueError, match="t must be"):
-        pq_recursion(src, frame, 0.0, [0.8j], N=4)
+        pq_recursion(src, frame, 0.0, [[0.8j]], N=4)
     with pytest.raises(ValueError, match="scheme"):
-        pq_recursion(src, frame, 0.5, [0.8j], N=4, scheme="midpoint")
+        pq_recursion(src, frame, 0.5, [[0.8j]], N=4, scheme="midpoint")
+    with pytest.raises(ValueError, match="stack"):
+        pq_recursion(src, frame, 0.5, [0.8j], N=4)  # one u is a one-row stack
 
 
 def test_pq_folded_scheme_closed_form():
@@ -150,11 +152,11 @@ def test_pq_folded_scheme_closed_form():
     frame = build_frame([[-1.0]], Dims(0, 1))
     u = np.array([0.8j])
     N = 16
-    state = pq_recursion(_contracting_source(), frame, 0.5, u, N=N)
+    state = pq_recursion(_contracting_source(), frame, 0.5, [u], N=N)
     h = 0.5 / N
     factor = (math.exp(-h) * (1 + h)) ** (N - 1)
-    assert abs(state.q[0] - factor * u[0]) < 1e-12
-    assert state.p == 1 + 0j
+    assert abs(state.q[0, 0] - factor * u[0]) < 1e-12
+    assert np.array_equal(state.p, [1 + 0j])
 
 
 def test_pq_exact_scheme_closed_form():
@@ -163,10 +165,10 @@ def test_pq_exact_scheme_closed_form():
     u = 0.8j
     N = 16
     h = 0.5 / N
-    state = pq_recursion(_contracting_source(), frame, 0.5, [u], N=N, scheme="exact")
+    state = pq_recursion(_contracting_source(), frame, 0.5, [[u]], N=N, scheme="exact")
     e = math.exp(-h)
     expected = e**N * u + h * u * (1 - e**N) / (1 - e)
-    assert abs(state.q[0] - expected) < 1e-12
+    assert abs(state.q[0, 0] - expected) < 1e-12
 
 
 def test_pq_defect_halves_when_n_doubles(heston1):
@@ -175,7 +177,7 @@ def test_pq_defect_halves_when_n_doubles(heston1):
     src = OdeFlowSource(heston1.gen, heston1.dims)
     u = np.array([0.4j, 0.5j])
     for scheme in ("folded", "exact"):
-        defects = [abs(pq_recursion(src, frame, 0.5, u, N, scheme=scheme).q[1] - 0.5j)
+        defects = [abs(pq_recursion(src, frame, 0.5, [u], N, scheme=scheme).q[0, 1] - 0.5j)
                    for N in (32, 64, 128)]
         assert defects[0] / defects[1] == pytest.approx(2.0, abs=0.3), scheme
         assert defects[1] / defects[2] == pytest.approx(2.0, abs=0.3), scheme
@@ -185,14 +187,14 @@ def test_pq_extrapolate_cancels_leading_error(heston1):
     frame = build_frame(heston1.beta, heston1.dims)
     src = OdeFlowSource(heston1.gen, heston1.dims)
     u = np.array([0.4j, 0.5j])
-    _, q_ext, states = pq_extrapolate(src, frame, 0.5, u, N_schedule=(32, 64, 128))
+    _, q_ext, states = pq_extrapolate(src, frame, 0.5, [u], N_schedule=(32, 64, 128))
     assert len(states) == 3 and all(isinstance(s, PQState) for s in states)
-    raw_defect = abs(states[-1].q[1] - 0.5j)
-    assert abs(q_ext[1] - 0.5j) < 0.5 * raw_defect
+    raw_defect = abs(states[-1].q[0, 1] - 0.5j)
+    assert abs(q_ext[0, 1] - 0.5j) < 0.5 * raw_defect
     with pytest.raises(ValueError, match="at least two"):
-        pq_extrapolate(src, frame, 0.5, u, N_schedule=(64,))
+        pq_extrapolate(src, frame, 0.5, [u], N_schedule=(64,))
     with pytest.raises(ValueError, match="factor of 2"):
-        pq_extrapolate(src, frame, 0.5, u, N_schedule=(64, 96))
+        pq_extrapolate(src, frame, 0.5, [u], N_schedule=(64, 96))
 
 
 def test_pq_recursion_guards_the_halfspace():
@@ -204,7 +206,7 @@ def test_pq_recursion_guards_the_halfspace():
 
     frame = build_frame(np.zeros((1, 1)), Dims(0, 1))
     with pytest.raises(FrameRecursionError, match="step k=1"):
-        pq_recursion(ClosedFlowSource(escaping), frame, 0.5, [0.2j], N=4)
+        pq_recursion(ClosedFlowSource(escaping), frame, 0.5, [[0.2j]], N=4)
 
     def exiting(t, u):
         u_arr = np.asarray(u, dtype=np.complex128)
@@ -212,7 +214,44 @@ def test_pq_recursion_guards_the_halfspace():
                               np.full_like(u_arr, np.nan), np.nan + 0j, in_Q=False)
 
     with pytest.raises(FrameRecursionError, match="left its domain"):
-        pq_recursion(ClosedFlowSource(exiting), frame, 0.5, [0.2j], N=4)
+        pq_recursion(ClosedFlowSource(exiting), frame, 0.5, [[0.2j]], N=4)
+
+
+def test_pq_stack_matches_one_row_runs(heston1):
+    """Each lane of a stacked recursion is the one-row recursion at its u (shared steps aside)."""
+    frame = build_frame(heston1.beta, heston1.dims)
+    src = OdeFlowSource(heston1.gen, heston1.dims)
+    us = np.array([[0.4j, 0.5j], [-0.7j, 0.9j], [1.0j, -0.3j]])
+    for scheme in ("folded", "exact"):
+        stacked = pq_recursion(src, frame, 0.5, us, 32, scheme=scheme)
+        assert stacked.p.shape == (3,) and stacked.q.shape == (3, 2)
+        for i, u in enumerate(us):
+            single = pq_recursion(src, frame, 0.5, [u], 32, scheme=scheme)
+            assert abs(stacked.p[i] - single.p[0]) <= 1e-10, (scheme, i)
+            assert np.max(np.abs(stacked.q[i] - single.q[0])) <= 1e-10, (scheme, i)
+
+
+def test_pq_recursion_names_the_failing_lane():
+    """Only lane 1 escapes the half-space and only lane 2 leaves the domain; each is named."""
+
+    def escaping(t, u):
+        u_arr = np.asarray(u, dtype=np.complex128)
+        shift = 0.5 if u_arr[0].imag > 0.3 else 0.0
+        return FlowEvaluation(float(t), u_arr, 1 + 0j, u_arr + shift, 0j)
+
+    def exiting(t, u):
+        u_arr = np.asarray(u, dtype=np.complex128)
+        if u_arr[0].imag < 0:
+            return FlowEvaluation(float(t), u_arr, np.nan + 0j,
+                                  np.full_like(u_arr, np.nan), np.nan + 0j, in_Q=False)
+        return FlowEvaluation(float(t), u_arr, 1 + 0j, u_arr, 0j)
+
+    frame = build_frame(np.zeros((1, 1)), Dims(0, 1))
+    us = [[0.2j], [0.4j], [-0.1j]]
+    with pytest.raises(FrameRecursionError, match="lane 1 left the admissible set at step k=1"):
+        pq_recursion(ClosedFlowSource(escaping), frame, 0.5, us, N=4)
+    with pytest.raises(FrameRecursionError, match="lane 2 left its domain at step k=0"):
+        pq_recursion(ClosedFlowSource(exiting), frame, 0.5, us, N=4)
 
 
 def test_transformed_state_source_identity_for_zero_drift(levy):
@@ -261,7 +300,8 @@ def test_frame_pipeline_certifies_mean_reverting_model(heston1):
     assert result.q_defect <= 1e-3
     assert result.ecf_z <= 3.0
     assert result.semihomog.passed
-    assert len(result.pq_states) == 1 and len(result.pq_states[0]) == 3
+    assert [st.N for st in result.pq_states] == [32, 64, 128]
+    assert all(st.q.shape == (1, 2) and st.p.shape == (1,) for st in result.pq_states)
     assert np.array_equal(result.sample_times, uniform_times(0.5, 2e-3))
     assert result.transformed_sample.shape == (5, result.sample_times.size, 2)
     assert np.array_equal(result.transformed_sample[:, 0], np.tile([0.3, 0.0], (5, 1)))
@@ -279,6 +319,27 @@ def test_frame_pipeline_extracts_beta_when_missing(heston1):
     assert result.beta_origin == "extracted"
     assert abs(result.beta[0, 0] - (-1.0)) < 1e-5
     assert result.transformed_sample.shape[0] == 0
+
+
+def test_frame_pipeline_steps_every_u_in_one_flow_call(heston1, monkeypatch):
+    """Three u cost the recursion as many flow calls as one: every u is a lane."""
+    calls = []
+    on_grid = flow.flow_on_grid
+
+    def counting(gen, dims, t_grid, u_grid, tol):
+        calls.append(len(u_grid))
+        return on_grid(gen, dims, t_grid, u_grid, tol)
+
+    monkeypatch.setattr(flow, "flow_on_grid", counting)
+    us = [np.array([0.4j, 0.5j]), np.array([-0.7j, 0.9j]), np.array([1.0j, -0.3j])]
+    counts = []
+    for u_set in (us[:1], us):
+        calls.clear()
+        frame_pipeline(heston1, 0.5, u_set, [0.3, 0.0], n_paths=200, N_schedule=(8, 16),
+                       seed=5, n_sample_paths=0)
+        assert set(calls) == {len(u_set)}
+        counts.append(len(calls))
+    assert counts == [7 + 15 + 8 + 16] * 2  # folded at N = 8, 16, then exact at N = 8, 16
 
 
 def test_frame_pipeline_operational_failures(heston1):

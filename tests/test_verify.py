@@ -20,6 +20,7 @@ from affineflow.verify import (
     feller_decay,
     fit_linearity,
     posdef_certificate,
+    posdef_points,
     report_to_json,
     sample_imaginary_points,
     sample_interior_points,
@@ -187,7 +188,7 @@ def test_posdef_gaussian_characteristic_function():
     theta = lambda y: complex(np.exp(-0.5 * float(y[0]) ** 2))
     rng = np.random.default_rng(17)
     pairs = [(rng.normal(size=1), rng.normal(size=1)) for _ in range(20)]
-    report = posdef_certificate(theta, pairs)
+    report = posdef_certificate(pairs, [theta(y) for y in posdef_points(pairs)])
     assert report.passed
 
 
@@ -198,7 +199,8 @@ def test_posdef_rejects_quadratic_bump():
     so the minimum-eigenvalue term is the one that must carry the rejection.
     """
     theta = lambda y: complex(1.0 + float(y[0]) ** 2)
-    report = posdef_certificate(theta, [(np.array([1.0]), np.array([1.0]))])
+    pairs = [(np.array([1.0]), np.array([1.0]))]
+    report = posdef_certificate(pairs, [theta(y) for y in posdef_points(pairs)])
     assert not report.passed
     assert report.max_violation == pytest.approx(4.0, abs=1e-9)
     observed = report.witnesses[0]["observed"]
@@ -208,10 +210,15 @@ def test_posdef_rejects_quadratic_bump():
 
 
 def test_posdef_validation():
+    pairs = [(np.array([1.0]), np.array([1.0]))]
     with pytest.raises(ValueError, match="at least one"):
-        posdef_certificate(lambda y: 1.0 + 0j, [])
+        posdef_points([])
+    with pytest.raises(ValueError, match="at least one"):
+        posdef_certificate([], [1.0 + 0j])
+    with pytest.raises(ValueError, match="7 posdef_points, got 6"):
+        posdef_certificate(pairs, [1.0 + 0j] * 6)
     with pytest.raises(ValueError, match="theta\\(0\\)"):
-        posdef_certificate(lambda y: 2.0 + 0j, [(np.array([1.0]), np.array([1.0]))])
+        posdef_certificate(pairs, [2.0 + 0j] * 7)
 
 
 def test_test_function_quadrature():
