@@ -4,8 +4,9 @@ The frame matrix K (identity on the cone block, free-component drift matrix on
 the free block) turns a general affine process into one whose fiber map leaves
 free arguments fixed, via Z_t = X_t - K^T \\int_0^t X_s ds.  This module builds
 K, applies and inverts the transform with left-endpoint quadrature, runs the
-p/q recursion whose limit is the transformed process's transform pair, and
-bundles everything into a simulate-transform-certify pipeline.
+flow-only p/q tower-law recursion, solves the generator ODE that predicts the
+transformed process's transform pair, and bundles everything into a
+simulate-transform-certify pipeline.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import REGION_EPS, Dims, Region, Tolerances, as_point, classify_region
-from .flow import FlowIntegrationError, flow_source_for, matrix_exp
-from .models import AffineModel, _sub_seeds, sample_grid, uniform_times
+from .core import REGION_EPS, Dims, Tolerances, as_point
+from .flow import FlowIntegrationError, OdeFlowSource, flow_source_for, matrix_exp
+from .models import AffineModel, GeneratorPair, _sub_seeds, sample_grid, uniform_times
 from .verify import CheckReport, _top_witnesses, extract_beta
 
 __all__ = [
@@ -143,8 +144,7 @@ class PQState:
     """Final state of the tower-law recursion with step h = t/N, one lane per argument.
 
     ``p`` (k,) starts at 1 and ``q`` (k, d) at the stack of arguments u; the
-    folded scheme applies N-1 updates, so its stored values are p(N-1),
-    q(N-1); the exact scheme applies N.
+    recursion applies N-1 updates, so the stored values are p(N-1), q(N-1).
     """
 
     N: int
@@ -157,28 +157,17 @@ class PQState:
         return self.N * self.h
 
 
-def pq_recursion(source, frame: FrameMatrix, t: float, u, N: int, *,
-                 scheme: str = "folded") -> PQState:
-    """Run the discrete tower-law iteration for the transformed transform pair.
+def pq_recursion(source, frame: FrameMatrix, t: float, u, N: int) -> PQState:
+    """Run the flow-only tower-law iteration for the transformed transform pair.
 
-    The ``folded`` scheme is the classical iteration
-    q(k+1) = psi(h, (id - hK) q(k)), p(k+1) = Phi(h, (id - hK) q(k)) p(k)
-    for k = 0 .. N-2, which folds each Riemann node factor of the transform's
-    time integral into the flow argument.  The node factor of the exact tower
-    law carries the original argument u, giving the ``exact`` scheme
-    q(k+1) = psi(h, q(k)) - hKu, p(k+1) = Phi(h, q(k)) p(k)
-    over all N intervals.  Both schemes converge at rate O(1/N) and have the
-    same free-component limit u_J; their cone components differ in the limit
-    (folded solves q' = R(q) - Kq, exact solves q' = R(q) - Ku), and only the
-    exact scheme's limit satisfies the conditional-expectation identity of
-    the transformed process, so endpoint comparisons should use it.
-
-    ``u`` is a (k, d) stack of purely imaginary arguments, one lane each (a
-    single argument is a one-row stack); every step evaluates all k lanes in
-    one ``source.on_grid([h], ...)`` call.  Every intermediate flow argument
-    must stay in the admissible half-space (within ``REGION_EPS``) and every
-    flow value in its domain; a violation names the lane, the step index and,
-    for the half-space, the offending component.
+    q(k+1) = psi(h, (id - hK) q(k)), p(k+1) = Phi(h, (id - hK) q(k)) p(k) for
+    k = 0 .. N-2 folds each Riemann node factor into the flow argument, so it
+    needs no regularity; it converges at O(1/N), its free components to u_J.
+    ``u`` is a (k, d) stack of purely imaginary arguments, one lane each;
+    each step evaluates all k lanes in one ``source.on_grid([h], ...)`` call.
+    Every intermediate argument must stay in the admissible half-space (within
+    ``REGION_EPS``; NaN is outside) and every flow value in its domain; a
+    violation names the lane, the step and, for the half-space, the component.
     """
     dims = frame.dims
     u_arr = np.asarray(u, dtype=np.complex128)
@@ -190,37 +179,32 @@ def pq_recursion(source, frame: FrameMatrix, t: float, u, N: int, *,
         raise ValueError("N must be at least 1")
     if t <= 0:
         raise ValueError("t must be positive")
-    if scheme not in ("folded", "exact"):
-        raise ValueError(f"unknown scheme {scheme!r}; choose 'folded' or 'exact'")
     h = t / N
-    folded = scheme == "folded"
     shrink_rows = (np.eye(dims.d) - h * frame.K).T  # q @ shrink_rows is (id - hK) q per lane
-    node_shift = h * (u_arr @ frame.K.T)
+    free = np.arange(dims.d) >= dims.m  # cone components need Re <= eps, free ones |Re| <= eps
 
     p = np.ones(len(u_arr), dtype=np.complex128)
     q = u_arr.copy()
-    for k in range(N - 1 if folded else N):
-        v = q @ shrink_rows if folded else q
-        for lane, w in enumerate(v):
-            if classify_region(w, dims) is Region.OUTSIDE:
-                re = w.real
-                bad = (int(np.argmax(re[dims.I])) if dims.m and np.max(re[dims.I]) > REGION_EPS
-                       else dims.m + int(np.argmax(np.abs(re[dims.J]))))
-                raise FrameRecursionError(
-                    f"intermediate argument of lane {lane} left the admissible set at step "
-                    f"k={k}, component {bad} (value {w[bad]})")
+    for k in range(N - 1):
+        v = q @ shrink_rows
+        re = v.real
+        outside = ~(np.where(free, np.abs(re), re) <= REGION_EPS)
+        if outside.any():
+            lane, bad = np.argwhere(outside)[0]
+            raise FrameRecursionError(
+                f"intermediate argument of lane {lane} left the admissible set at step "
+                f"k={k}, component {bad} (value {v[lane, bad]})")
         row = source.on_grid([h], v)[0]
         for lane, ev in enumerate(row):
             if not ev.in_Q:
                 raise FrameRecursionError(f"flow of lane {lane} left its domain at step k={k}")
         p = np.array([ev.phi for ev in row]) * p
-        psi = np.array([ev.psi for ev in row])
-        q = psi if folded else psi - node_shift
+        q = np.array([ev.psi for ev in row])
     return PQState(N, h, p, q)
 
 
 def pq_extrapolate(source, frame: FrameMatrix, t: float, u,
-                   N_schedule: Sequence[int] = (64, 128, 256), *, scheme: str = "folded",
+                   N_schedule: Sequence[int] = (64, 128, 256),
                    ) -> tuple[np.ndarray, np.ndarray, list[PQState]]:
     """Recursion limit by two-point Richardson extrapolation in 1/N.
 
@@ -235,10 +219,34 @@ def pq_extrapolate(source, frame: FrameMatrix, t: float, u,
         raise ValueError("need at least two N values to extrapolate")
     if ns[-1] != 2 * ns[-2]:
         raise ValueError("the two largest N values must differ by a factor of 2")
-    states = [pq_recursion(source, frame, t, u, n, scheme=scheme) for n in ns]
-    p_ext = 2 * states[-1].p - states[-2].p
-    q_ext = 2 * states[-1].q - states[-2].q
-    return p_ext, q_ext, states
+    states = [pq_recursion(source, frame, t, u, n) for n in ns]
+    return 2 * states[-1].p - states[-2].p, 2 * states[-1].q - states[-2].q, states
+
+
+def _pq_endpoint(gen, frame: FrameMatrix, t: float, u: np.ndarray,
+                 tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """Transform pair p (k,), q (k, d) of the transformed process at t, for the (k, d) stack u.
+
+    One solve of q' = R(q) - Ku, (log p)' = F(q), q(0) = u: for a regular
+    process, the limit of the tower law q(k+1) = psi(h, q(k)) - hKu,
+    p(k+1) = Phi(h, q(k)) p(k) (Duffie, Filipovic and Schachermayer 2003).
+    A lane's state is (q, u) on Dims(m, n + d); the u columns are constant
+    imaginary free components, so an exiting lane takes its own shift out of
+    the active set.  A lane that leaves the domain raises FrameRecursionError.
+    """
+    dims, d = frame.dims, frame.dims.d
+
+    def shifted_R(y):  # u @ K^T is Ku per lane
+        out = np.zeros_like(y)
+        out[:, :d] = gen.R(y[:, :d]) - y[:, d:] @ frame.K.T
+        return out
+
+    pair = GeneratorPair(F=lambda y: gen.F(y[:, :d]), R=shifted_R)
+    row = OdeFlowSource(pair, Dims(dims.m, dims.n + d), tol).on_grid([t], np.hstack([u, u]))[0]
+    for lane, ev in enumerate(row):
+        if not ev.in_Q:
+            raise FrameRecursionError(f"generator ODE of lane {lane} left its domain before t={t}")
+    return np.array([ev.phi for ev in row]), np.array([ev.psi[:d] for ev in row])
 
 
 # ----------------------------------------------------------------------------
@@ -302,11 +310,11 @@ class FramePipelineResult:
 
     ``report`` normalizes each certified stage by its own threshold, so the
     composite threshold is 1.  Entry i of ``p_values`` (k,) and row i of
-    ``q_values`` (k, d) are the folded-scheme limit at the i-th u, and
-    ``p_endpoint``/``q_endpoint`` the exact-scheme one; ``pq_states`` holds
-    the folded states over the ascending N schedule.  ``transformed_sample``
-    holds the first few transformed paths, shape (paths, len(sample_times),
-    d), on the internal grid ``sample_times`` for inspection or export.
+    ``q_values`` (k, d) are the extrapolated p/q recursion limit at the i-th
+    u, ``p_endpoint``/``q_endpoint`` the pair the generator's ODE predicts,
+    and ``pq_states`` the recursion states over the ascending N schedule.
+    ``transformed_sample`` holds the first few transformed paths, shape
+    (paths, len(sample_times), d), on the internal grid ``sample_times``.
     """
 
     beta: np.ndarray
@@ -335,13 +343,14 @@ def frame_pipeline(model: AffineModel, t: float, u_set, x0, n_paths: int,
     Stages: (1) obtain the free-drift matrix (from the model if it carries
     one, otherwise by probing the flow) and build the frame; (2) simulate and
     transform paths; (3) run the p/q recursion over the N schedule and
-    extrapolate, one :func:`pq_extrapolate` call per scheme with every u as a
-    lane; (4) check the free components of q returned to the input argument
-    within ``q_tol``; (5) check the empirical transform of the transformed
-    endpoint against p exp(<q, x0>) within ``stat_sigma`` errors; (6) run the
-    sample-based free-component invariance test on the transformed source.
-    Operational failures abort with a stage tag; certification failures
-    produce a failing composite report.
+    extrapolate, every u a lane of one :func:`pq_extrapolate` call, and solve
+    the generator's ODE for the endpoint pair; (4) check the free components
+    of q returned to the input argument within ``q_tol``; (5) check the
+    empirical transform of the transformed endpoint against p exp(<q, x0>)
+    within ``stat_sigma`` errors; (6) run the sample-based free-component
+    invariance test on the transformed source.  Operational failures abort
+    with a stage tag; certification failures produce a failing composite
+    report.
     """
     from .empirical import ecf_from_states, semihomogeneity_test
 
@@ -354,14 +363,13 @@ def frame_pipeline(model: AffineModel, t: float, u_set, x0, n_paths: int,
 
     # stage 1: frame
     try:
+        flow_src = flow_source_for(model, tol)
         if model.beta is not None:
             beta, beta_origin = np.asarray(model.beta, dtype=float), "model"
         else:
-            source = flow_source_for(model, tol)
-            beta, _rep = extract_beta(source, dims)
+            beta, _rep = extract_beta(flow_src, dims)
             beta_origin = "extracted"
         frame = build_frame(beta, dims)
-        flow_src = flow_source_for(model, tol)
     except (ValueError, FlowIntegrationError) as exc:
         raise FramePipelineError("frame", str(exc)) from exc
 
@@ -377,14 +385,10 @@ def frame_pipeline(model: AffineModel, t: float, u_set, x0, n_paths: int,
     except (ValueError, FlowIntegrationError) as exc:
         raise FramePipelineError("simulate_transform", str(exc)) from exc
 
-    # stage 3: p/q recursion in both schemes (classical for the invariance
-    # certificate, exact node placement for the endpoint identity)
+    # stage 3: the flow-only p/q recursion, and the generator's endpoint pair for stage 5
     try:
         p_values, q_values, pq_states = pq_extrapolate(flow_src, frame, t, u_stack, N_schedule)
-        # only the folded states are reported, so the exact scheme runs
-        # just the two largest N that enter its extrapolant
-        p_endpoint, q_endpoint, _ = pq_extrapolate(flow_src, frame, t, u_stack,
-                                                   sorted(N_schedule)[-2:], scheme="exact")
+        p_endpoint, q_endpoint = _pq_endpoint(model.gen, frame, t, u_stack, tol)
     except (FrameRecursionError, FlowIntegrationError) as exc:
         raise FramePipelineError("pq_recursion", str(exc)) from exc
 
@@ -400,7 +404,7 @@ def frame_pipeline(model: AffineModel, t: float, u_set, x0, n_paths: int,
                 "expected": f"|q_J - u_J| <= {q_tol}",
             }))
 
-    # stage 5: empirical transform of Z_t vs p exp(<q, x0>) from the exact scheme
+    # stage 5: empirical transform of Z_t vs p exp(<q, x0>) from the generator ODE
     ecf_z = 0.0
     for u, p_ext, q_ext in zip(u_stack, p_endpoint, q_endpoint):
         est = ecf_from_states(z_end, u, t)
@@ -431,14 +435,9 @@ def frame_pipeline(model: AffineModel, t: float, u_set, x0, n_paths: int,
         "frame_pipeline",
         (f"t={t}, {len(u_stack)} u points, {n_paths} paths, N schedule {sorted(N_schedule)}, "
          f"beta {beta_origin}"),
-        normalized,
-        1.0,
-        _top_witnesses(witnesses),
-    )
+        normalized, 1.0, _top_witnesses(witnesses))
     return FramePipelineResult(
-        beta=beta, frame=frame, beta_origin=beta_origin,
-        p_values=p_values, q_values=q_values,
-        p_endpoint=p_endpoint, q_endpoint=q_endpoint, pq_states=pq_states,
-        q_defect=q_defect, ecf_z=ecf_z, semihomog=semihomog,
-        report=report, sample_times=fine, transformed_sample=sample,
-    )
+        beta=beta, frame=frame, beta_origin=beta_origin, p_values=p_values, q_values=q_values,
+        p_endpoint=p_endpoint, q_endpoint=q_endpoint, pq_states=pq_states, q_defect=q_defect,
+        ecf_z=ecf_z, semihomog=semihomog, report=report, sample_times=fine,
+        transformed_sample=sample)

@@ -113,10 +113,16 @@ def test_flow_on_grid_hook_reads_u_grid_evals_and_errors(tracer):
 # and argument positions its tracer reads
 
 
-def test_pq_recursion_n_is_parameter_4_and_scheme_is_keyword_only():
-    params = inspect.signature(movingframe.pq_recursion).parameters
-    assert list(params)[4] == "N"
-    assert params["scheme"].kind is inspect.Parameter.KEYWORD_ONLY
+def test_pq_recursion_n_is_parameter_4_and_the_tracer_counts_its_steps(tracer, heston1):
+    """The tracer reads N at position 4 and counts N - 1 recursion steps per call."""
+    assert list(inspect.signature(movingframe.pq_recursion).parameters)[4] == "N"
+    frame = movingframe.build_frame(heston1.beta, heston1.dims)
+    args = (flow.flow_source_for(heston1), frame, 0.5, [np.array([0.4j, 0.5j])], 8)
+    state = movingframe.pq_recursion(*args)
+    t = tracer.Tracer()
+    with t.operation("op"):
+        assert t._after_pq_recursion(args, {}, state) is state
+    assert t.counters["movingframe.pq_steps"] == 7
 
 
 def test_estimate_fr_takes_h_schedule_and_dims(cir):

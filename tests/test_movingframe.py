@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from affineflow import flow, models
-from affineflow.core import Dims
+from affineflow.core import Dims, Tolerances
 from affineflow.flow import ClosedFlowSource, FlowEvaluation, OdeFlowSource, matrix_exp
 from affineflow.models import sample_grid, uniform_times
 from affineflow.movingframe import (
@@ -15,6 +15,7 @@ from affineflow.movingframe import (
     FramePipelineError,
     FrameRecursionError,
     PQState,
+    _pq_endpoint,
     build_frame,
     frame_pipeline,
     inverse_values,
@@ -140,8 +141,6 @@ def test_pq_recursion_validation():
         pq_recursion(src, frame, 0.5, [[0.8j]], N=0)
     with pytest.raises(ValueError, match="t must be"):
         pq_recursion(src, frame, 0.0, [[0.8j]], N=4)
-    with pytest.raises(ValueError, match="scheme"):
-        pq_recursion(src, frame, 0.5, [[0.8j]], N=4, scheme="midpoint")
     with pytest.raises(ValueError, match="stack"):
         pq_recursion(src, frame, 0.5, [0.8j], N=4)  # one u is a one-row stack
 
@@ -159,28 +158,14 @@ def test_pq_folded_scheme_closed_form():
     assert np.array_equal(state.p, [1 + 0j])
 
 
-def test_pq_exact_scheme_closed_form():
-    """The exact node placement gives q(k+1) = e^{-h} q(k) + h u: a geometric sum."""
-    frame = build_frame([[-1.0]], Dims(0, 1))
-    u = 0.8j
-    N = 16
-    h = 0.5 / N
-    state = pq_recursion(_contracting_source(), frame, 0.5, [[u]], N=N, scheme="exact")
-    e = math.exp(-h)
-    expected = e**N * u + h * u * (1 - e**N) / (1 - e)
-    assert abs(state.q[0, 0] - expected) < 1e-12
-
-
 def test_pq_defect_halves_when_n_doubles(heston1):
-    """Both schemes approach the free-limit u_J at first order in 1/N."""
+    """The recursion approaches the free limit u_J at first order in 1/N."""
     frame = build_frame(heston1.beta, heston1.dims)
     src = OdeFlowSource(heston1.gen, heston1.dims)
     u = np.array([0.4j, 0.5j])
-    for scheme in ("folded", "exact"):
-        defects = [abs(pq_recursion(src, frame, 0.5, [u], N, scheme=scheme).q[0, 1] - 0.5j)
-                   for N in (32, 64, 128)]
-        assert defects[0] / defects[1] == pytest.approx(2.0, abs=0.3), scheme
-        assert defects[1] / defects[2] == pytest.approx(2.0, abs=0.3), scheme
+    defects = [abs(pq_recursion(src, frame, 0.5, [u], N).q[0, 1] - 0.5j) for N in (32, 64, 128)]
+    assert defects[0] / defects[1] == pytest.approx(2.0, abs=0.3)
+    assert defects[1] / defects[2] == pytest.approx(2.0, abs=0.3)
 
 
 def test_pq_extrapolate_cancels_leading_error(heston1):
@@ -222,13 +207,12 @@ def test_pq_stack_matches_one_row_runs(heston1):
     frame = build_frame(heston1.beta, heston1.dims)
     src = OdeFlowSource(heston1.gen, heston1.dims)
     us = np.array([[0.4j, 0.5j], [-0.7j, 0.9j], [1.0j, -0.3j]])
-    for scheme in ("folded", "exact"):
-        stacked = pq_recursion(src, frame, 0.5, us, 32, scheme=scheme)
-        assert stacked.p.shape == (3,) and stacked.q.shape == (3, 2)
-        for i, u in enumerate(us):
-            single = pq_recursion(src, frame, 0.5, [u], 32, scheme=scheme)
-            assert abs(stacked.p[i] - single.p[0]) <= 1e-10, (scheme, i)
-            assert np.max(np.abs(stacked.q[i] - single.q[0])) <= 1e-10, (scheme, i)
+    stacked = pq_recursion(src, frame, 0.5, us, 32)
+    assert stacked.p.shape == (3,) and stacked.q.shape == (3, 2)
+    for i, u in enumerate(us):
+        single = pq_recursion(src, frame, 0.5, [u], 32)
+        assert abs(stacked.p[i] - single.p[0]) <= 1e-10, i
+        assert np.max(np.abs(stacked.q[i] - single.q[0])) <= 1e-10, i
 
 
 def test_pq_recursion_names_the_failing_lane():
@@ -252,6 +236,63 @@ def test_pq_recursion_names_the_failing_lane():
         pq_recursion(ClosedFlowSource(escaping), frame, 0.5, us, N=4)
     with pytest.raises(FrameRecursionError, match="lane 2 left its domain at step k=0"):
         pq_recursion(ClosedFlowSource(exiting), frame, 0.5, us, N=4)
+
+
+HESTON_US = np.array([[0.4j, 0.5j], [-0.7j, 0.9j], [1.0j, -0.3j]])
+ODE_TOL = Tolerances(ode_rel=1e-11, ode_abs=1e-13)
+
+
+def _exact_tower_law(source, frame, t, us, N):
+    """The tower law with unfolded node factors: q(k+1) = psi(h, q(k)) - hKu, N steps."""
+    h = t / N
+    p, q = np.ones(len(us), dtype=np.complex128), us.copy()
+    for _ in range(N):
+        row = source.on_grid([h], q)[0]
+        p = p * np.array([ev.phi for ev in row])
+        q = np.array([ev.psi for ev in row]) - h * us @ frame.K.T
+    return p, q
+
+
+def test_pq_endpoint_is_the_limit_of_the_exact_tower_law(heston1):
+    """Richardson extrapolants 2 v(2N) - v(N) of the exact tower law approach the
+    ODE endpoint at O(1/N^2), and the ODE keeps the free components at u_J."""
+    frame = build_frame(heston1.beta, heston1.dims)
+    src = OdeFlowSource(heston1.gen, heston1.dims, ODE_TOL)
+    p, q = _pq_endpoint(heston1.gen, frame, 0.5, HESTON_US, ODE_TOL)
+    assert np.array_equal(q[:, 1], HESTON_US[:, 1])
+    runs = {N: _exact_tower_law(src, frame, 0.5, HESTON_US, N) for N in (64, 128, 256, 512)}
+    gaps = []
+    for N in (64, 128, 256):
+        (p1, q1), (p2, q2) = runs[N], runs[2 * N]
+        gaps.append(max(np.max(np.abs(2 * p2 - p1 - p)), np.max(np.abs(2 * q2 - q1 - q))))
+    assert gaps[0] / gaps[1] == pytest.approx(4.0, abs=0.2)
+    assert gaps[1] / gaps[2] == pytest.approx(4.0, abs=0.2)
+    assert gaps[2] < 1e-7
+
+
+def test_pq_endpoint_stack_matches_one_row_solves(heston1):
+    frame = build_frame(heston1.beta, heston1.dims)
+    p, q = _pq_endpoint(heston1.gen, frame, 0.5, HESTON_US, ODE_TOL)
+    assert p.shape == (3,) and q.shape == (3, 2)
+    for i, u in enumerate(HESTON_US):
+        p1, q1 = _pq_endpoint(heston1.gen, frame, 0.5, u[None], ODE_TOL)
+        assert abs(p[i] - p1[0]) <= 1e-12, i
+        assert np.max(np.abs(q[i] - q1[0])) <= 1e-12, i
+
+
+def test_pq_endpoint_names_the_exiting_lane():
+    """Lane 1's scalar factor vanishes (F = -1200 drives log p below the floor); the
+    other lanes finish, and the error names lane 1."""
+
+    def F(u):
+        return np.where(u[..., 0].imag < 0, -1200.0, -1.0) + 0j
+
+    gen = models.GeneratorPair(F=F, R=lambda u: np.zeros(np.shape(u), dtype=np.complex128))
+    frame = build_frame(np.zeros((1, 1)), Dims(0, 1))
+    with pytest.raises(FrameRecursionError, match="lane 1 left its domain"):
+        _pq_endpoint(gen, frame, 1.0, np.array([[0.2j], [-0.4j], [0.3j]]), ODE_TOL)
+    p, _q = _pq_endpoint(gen, frame, 1.0, np.array([[0.2j], [0.3j]]), ODE_TOL)
+    assert np.allclose(p, math.exp(-1.0), rtol=1e-10)
 
 
 def test_transformed_state_source_identity_for_zero_drift(levy):
@@ -339,7 +380,7 @@ def test_frame_pipeline_steps_every_u_in_one_flow_call(heston1, monkeypatch):
                        seed=5, n_sample_paths=0)
         assert set(calls) == {len(u_set)}
         counts.append(len(calls))
-    assert counts == [7 + 15 + 8 + 16] * 2  # folded at N = 8, 16, then exact at N = 8, 16
+    assert counts == [7 + 15 + 1] * 2  # the recursion at N = 8, 16, then the endpoint ODE
 
 
 def test_frame_pipeline_operational_failures(heston1):
