@@ -18,7 +18,6 @@ which other checks run with it.
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
 import json
 import sys
@@ -104,14 +103,17 @@ def _write_metadata(out_dir: Path, cfg: RunConfig, command: str, extra: dict) ->
 
 
 def _write_paths_csv(path: Path, times: np.ndarray, values: np.ndarray) -> None:
-    """Transformed paths in long format: path_id, t, x1..xd, one row per grid point."""
-    with open(path, "w", newline="") as fh:
-        fh.write("# frame=transformed\n")
-        writer = csv.writer(fh)
-        writer.writerow(["path_id", "t"] + [f"x{i + 1}" for i in range(values.shape[-1])])
-        for pid, rows in enumerate(values):
-            for t, row in zip(times, rows):
-                writer.writerow([pid, repr(float(t))] + [repr(float(v)) for v in row])
+    """Transformed paths in long format: path_id, t, x1..xd, one row per grid point.
+
+    Cells are ``repr`` of the floats and rows end in ``\\r\\n``, byte for byte
+    what ``csv.writer`` writes for them (no cell needs quoting).
+    """
+    header = ",".join(["path_id", "t"] + [f"x{i + 1}" for i in range(values.shape[-1])])
+    lines = ["# frame=transformed\n", header + "\r\n"]
+    ts = [repr(float(t)) for t in times]
+    for pid, rows in enumerate(values.tolist()):
+        lines.extend(f"{pid},{t},{','.join(map(repr, row))}\r\n" for t, row in zip(ts, rows))
+    _write_text(path, "".join(lines))
 
 
 # ----------------------------------------------------------------------------

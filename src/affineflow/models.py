@@ -452,7 +452,9 @@ def uniform_times(horizon: float, grid_step: float) -> np.ndarray:
 
 
 # Paths per sampler call in ``sample_grid``; it bounds the samplers' working
-# arrays, the frame transform's full-resolution blocks included.
+# arrays.  At a chunk's peak these are the sampler's noise block and output
+# block; under the frame sampler the output is the fine block, which the
+# transform then works through in smaller path tiles.
 CHUNK_PATHS = 4096
 
 

@@ -253,14 +253,22 @@ def _pq_endpoint(gen, frame: FrameMatrix, t: float, u: np.ndarray,
 # transformed sampling and the certification pipeline
 
 
+# Paths per ``transform_values`` call in ``_FrameSampler.sample_chunk``: rows
+# transform independently, so tiling the fine block shrinks the transform's
+# block-sized temporaries (products, integral, ``integral @ K``) to tile size
+# without changing a bit.
+TILE_PATHS = 128
+
+
 class _FrameSampler:
     """Sampler of the frame-transformed process, for :func:`models.sample_grid`.
 
     ``sample_chunk`` runs the base sampler on the uniform grid of step
     ``internal_dt`` up to the last record time, with the same generators, so
-    the running integral of the transform is resolved; it transforms that
-    block and returns the record-time columns.  Record times must lie on the
-    internal grid.
+    the running integral of the transform is resolved.  It transforms that
+    fine block ``TILE_PATHS`` rows at a time and keeps each tile's
+    record-time columns, so at its peak a chunk holds the fine block and one
+    tile's temporaries.  Record times must lie on the internal grid.
     """
 
     def __init__(self, base, frame: FrameMatrix, internal_dt: float):
@@ -274,7 +282,11 @@ class _FrameSampler:
         if np.max(np.abs(fine[idx] - times)) > 1e-9:
             raise ValueError("record times must lie on the internal uniform grid")
         block = self.base.sample_chunk(x0, fine, rngs)
-        return transform_values(block, fine, self.frame)[:, idx, :]
+        out = np.empty((block.shape[0], idx.size, block.shape[-1]))
+        for lo in range(0, block.shape[0], TILE_PATHS):
+            tile = block[lo:lo + TILE_PATHS]
+            out[lo:lo + TILE_PATHS] = transform_values(tile, fine, self.frame)[:, idx, :]
+        return out
 
 
 def transformed_state_source(model: AffineModel, frame: FrameMatrix,
@@ -286,8 +298,9 @@ def transformed_state_source(model: AffineModel, frame: FrameMatrix,
     on a copy of ``model`` whose sampler is :class:`_FrameSampler`, so row p
     is path p of ``sample_grid`` on the same seed, transformed.  The copy
     carries no flow, so nothing reads the base model's flow as the
-    transformed one's.  ``sample_grid`` chunks the paths, so the
-    full-resolution arrays never hold more than one chunk.
+    transformed one's.  ``sample_grid`` chunks the paths and the sampler
+    transforms each chunk in path tiles, so at the peak the full-resolution
+    arrays are one chunk's fine block and the base sampler's noise block.
     """
     if internal_dt <= 0:
         raise ValueError("internal_dt must be positive")

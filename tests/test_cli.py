@@ -5,6 +5,7 @@ configs and tmp output directories, so the suite stays fast.  One subprocess
 smoke test covers the ``python -m affineflow`` entry point.
 """
 
+import csv
 import json
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from affineflow.cli import (
     EXIT_NUMERICAL,
     EXIT_PASS,
     EXIT_USAGE,
+    _write_paths_csv,
     main,
 )
 
@@ -344,6 +346,24 @@ def test_frame_artifacts_are_byte_deterministic(tmp_path):
         main(["frame", "--config", cfg, "--out", str(out)])
     for artifact in ("frame_report.json", "transformed_paths.csv"):
         assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes(), artifact
+
+
+def test_paths_csv_matches_csv_writer(tmp_path):
+    """The joined-lines writer gives csv.writer's bytes, signed zero and extreme floats included."""
+    times = np.array([0.0, 1e-300, 0.5])
+    values = np.array([[[-0.0, 5e-324], [1e-300, 1e300], [-1e300, 0.1]],
+                       [[0.3, -5e-324], [2.0, -0.0], [1.0 / 3.0, -1e-300]]])
+    got = tmp_path / "got.csv"
+    _write_paths_csv(got, times, values)
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        fh.write("# frame=transformed\n")
+        writer = csv.writer(fh)
+        writer.writerow(["path_id", "t", "x1", "x2"])
+        for pid, rows in enumerate(values):
+            for t, row in zip(times, rows):
+                writer.writerow([pid, repr(float(t))] + [repr(float(v)) for v in row])
+    assert got.read_bytes() == ref.read_bytes()
 
 
 def test_frame_with_impossible_grid_is_numerical_failure(tmp_path, capsys):

@@ -128,13 +128,14 @@ def test_stream_words_equal_spawned_seed_sequences(seed):
 
 @pytest.mark.parametrize("name", ["cir", "levy", "heston0", "control"])
 def test_path_p_draws_from_spawned_stream_p(name, cir, levy, heston0, control):
-    """The window 4090..4099 crosses a ``CHUNK_PATHS`` multiple; each path keeps its own stream."""
+    """A 10-path window crossing a ``CHUNK_PATHS`` multiple; each path keeps its own stream."""
     model = {"cir": cir, "levy": levy, "heston0": heston0, "control": control}[name]
     x0, times, seed = model.x0_default, np.array([0.0, 0.1, 0.35]), 20240
+    lo = models.CHUNK_PATHS - 6
     streams = [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(p,)))
-               for p in range(4090, 4100)]
+               for p in range(lo, lo + 10)]
     expected = model.sampler.sample_chunk(x0, times, streams)
-    assert np.array_equal(sample_grid(model, x0, times, 10, seed, path_offset=4090), expected)
+    assert np.array_equal(sample_grid(model, x0, times, 10, seed, path_offset=lo), expected)
 
 
 def test_path_index_must_fit_one_word(levy):

@@ -2,11 +2,12 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from affineflow import flow, models
+from affineflow import flow, models, movingframe
 from affineflow.core import Dims, Tolerances
 from affineflow.flow import ClosedFlowSource, FlowEvaluation, OdeFlowSource, matrix_exp
 from affineflow.models import sample_grid, uniform_times
@@ -316,6 +317,35 @@ def test_transformed_state_source_never_depends_on_chunking(heston1, monkeypatch
     monkeypatch.setattr(models, "CHUNK_PATHS", 3)
     chunked = src([0.3, 0.5], record, 10, seed=6)
     assert np.array_equal(chunked, whole)
+
+
+def test_frame_tiles_never_change_a_row(heston1, monkeypatch):
+    """Path tiles of 3 inside chunks of 5 give the whole-block transform bit for bit (K != 0)."""
+    monkeypatch.setattr(movingframe, "TILE_PATHS", 3)
+    monkeypatch.setattr(models, "CHUNK_PATHS", 5)
+    frame = build_frame(heston1.beta, heston1.dims)
+    record = np.array([0.0, 0.25, 0.5])
+    got = transformed_state_source(heston1, frame, internal_dt=0.05)([0.3, 0.5], record, 10, seed=6)
+    fine = uniform_times(0.5, 0.05)
+    idx = np.searchsorted(fine, record)
+    whole = transform_values(sample_grid(heston1, [0.3, 0.5], fine, 10, seed=6), fine, frame)
+    assert np.array_equal(got, whole[:, idx])
+
+
+def test_frame_sampler_peak_memory_is_about_one_fine_block(heston1):
+    """Under tracemalloc a 512-path chunk peaks at the fine block plus the sampler's noise."""
+    frame = build_frame(heston1.beta, heston1.dims)
+    sampler = movingframe._FrameSampler(heston1.sampler, frame, 1e-3)
+    rngs = [np.random.default_rng(p) for p in range(512)]
+    x0, times = np.array([0.3, 0.5]), np.array([0.0, 0.5])
+    tracemalloc.start()
+    try:
+        sampler.sample_chunk(x0, times, rngs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    fine_block_bytes = 512 * 501 * 2 * 8
+    assert peak <= 2.5 * fine_block_bytes, peak / fine_block_bytes
 
 
 def test_transformed_state_source_validation(heston0):
