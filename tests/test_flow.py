@@ -190,6 +190,42 @@ def test_matrix_exp_frozen_cases():
         matrix_exp(np.array([[np.inf]]))
 
 
+def test_matrix_exp_diagonal_input_is_exact():
+    assert np.array_equal(matrix_exp(np.zeros((3, 3))), np.eye(3))
+    diag = np.array([-1.0, 0.25, 2.0])
+    assert np.array_equal(matrix_exp(np.diag(diag), t=0.7), np.diag(np.exp(0.7 * diag)))
+    assert np.array_equal(matrix_exp(np.array([[-1.0]]), t=0.5), [[np.exp(-0.5)]])
+    assert np.array_equal(matrix_exp(np.diag([1j, -2.0])), np.diag(np.exp([1j, -2.0])))
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_matrix_exp_rejects_non_finite_t(t):
+    with pytest.raises(ValueError, match="finite t"):
+        matrix_exp(np.array([[0.0, 1.0], [-1.0, 0.0]]), t)
+
+
+def test_matrix_exp_rejects_overflowing_product():
+    with pytest.raises(ValueError, match="finite entries"):
+        matrix_exp(np.array([[1e200, 1.0], [0.0, 1.0]]), t=1e200)
+
+
+def test_matrix_exp_matches_scipy_reference():
+    """Random 1-4-dim real and complex matrices across the scaling threshold."""
+    linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(2005)
+    for trial in range(400):
+        n = int(rng.integers(1, 5))
+        a = rng.standard_normal((n, n))
+        if trial % 2:
+            a = a + 1j * rng.standard_normal((n, n))
+        t = float(rng.uniform(0.1, 2.0))
+        norm = float(rng.uniform(0.01, 12.0))
+        a *= norm / (t * np.linalg.norm(a, 1))
+        expected = linalg.expm(t * a)
+        rel = np.linalg.norm(matrix_exp(a, t) - expected, 1) / np.linalg.norm(expected, 1)
+        assert rel <= (1e-12 if norm <= 5 else 1e-11), (trial, n, norm, rel)
+
+
 def test_flow_sources(cir, heston1, control):
     ode_src = OdeFlowSource(cir.gen, cir.dims)
     direct = ode_flow(cir.gen, cir.dims, 0.5, [-1.0])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from affineflow.core import Dims, Region, classify_region, in_domain_interior
-from affineflow.flow import ClosedFlowSource, FlowEvaluation, OdeFlowSource
+from affineflow.flow import ClosedFlowSource, FlowEvaluation, OdeFlowSource, matrix_exp
 from affineflow.models import GeneratorPair, make_heston_like
 from affineflow import verify
 from affineflow.verify import (
@@ -149,6 +149,72 @@ def test_extract_beta_rejects_reflection():
 
     with pytest.raises(MatrixLogError):
         extract_beta(ClosedFlowSource(reflecting), Dims(0, 1))
+
+
+def test_extract_beta_recovers_a_rotating_drift():
+    """A non-diagonal drift goes through the general log kernel and comes back real."""
+    beta_true = np.array([[-0.3, -1.2], [0.8, -0.1]])
+
+    def rotating(t, u):
+        u_arr = np.asarray(u, dtype=np.complex128)
+        return FlowEvaluation(float(t), u_arr, 1 + 0j, matrix_exp(beta_true, t) @ u_arr, 0j)
+
+    beta, report = extract_beta(ClosedFlowSource(rotating), Dims(0, 2))
+    assert np.isrealobj(beta)
+    assert np.max(np.abs(beta - beta_true)) < 1e-12
+    assert report.passed and report.max_violation < 1e-12
+
+
+def test_principal_log_exact_on_diagonal_input():
+    assert np.array_equal(verify._principal_log(np.eye(3)), np.zeros((3, 3)))
+    diag = np.array([0.5, 1.0, 7.0])
+    assert np.array_equal(verify._principal_log(np.diag(diag)), np.diag(np.log(diag)))
+
+
+def test_principal_log_frozen_cases():
+    jordan = np.array([[1.0, 1.0], [0.0, 1.0]])
+    assert np.allclose(verify._principal_log(jordan), [[0.0, 1.0], [0.0, 0.0]], atol=1e-15)
+    rotation = np.array([[0.0, -1.0], [1.0, 0.0]])
+    for theta in (0.3, math.pi / 2, 3.0):
+        log_r = verify._principal_log(matrix_exp(rotation, theta))
+        assert np.isrealobj(log_r)
+        assert np.allclose(log_r, theta * rotation, atol=1e-13), theta
+
+
+def test_principal_log_inverts_matrix_exp():
+    rng = np.random.default_rng(2012)
+    for _ in range(200):
+        n = int(rng.integers(1, 5))
+        a = rng.standard_normal((n, n))
+        m = matrix_exp(a * float(rng.uniform(0.05, 2.0)) / np.linalg.norm(a, 1))
+        log_m = verify._principal_log(m)
+        assert np.isrealobj(log_m)
+        rel = np.linalg.norm(matrix_exp(log_m) - m, 1) / np.linalg.norm(m, 1)
+        assert rel <= 1e-13, (n, rel)
+
+
+def test_principal_log_matches_scipy_reference():
+    linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(34)
+    for _ in range(200):
+        n = int(rng.integers(1, 5))
+        a = rng.standard_normal((n, n))
+        m = matrix_exp(a * float(rng.uniform(0.05, 3.0)) / np.linalg.norm(a, 1))
+        expected = np.real(linalg.logm(m))
+        rel = np.linalg.norm(verify._principal_log(m) - expected, 1) / np.linalg.norm(expected, 1)
+        assert rel <= 1e-12, (n, rel)
+
+
+@pytest.mark.parametrize("m", [
+    np.array([[-2.0]]),                      # no real square root: the iteration never settles
+    np.array([[-1.0, 0.0], [0.0, 2.0]]),     # negative eigenvalue on the diagonal
+    np.array([[0.0]]),                       # singular
+    np.array([[1.0, 1e300], [0.0, 1.0]]),    # needs ~1000 square roots to reach I
+    np.array([[np.nan, 0.0], [0.0, 1.0]]),
+], ids=["negative", "negative-diagonal", "singular", "far-from-identity", "nan"])
+def test_principal_log_raises_instead_of_hanging(m):
+    with pytest.raises(MatrixLogError):
+        verify._principal_log(m)
 
 
 def test_fit_linearity_recovers_decay_factor():
