@@ -40,6 +40,8 @@ from .movingframe import FramePipelineError, FrameRecursionError, frame_pipeline
 from .verify import (
     CheckReport,
     MatrixLogError,
+    _scored_report,
+    _z_score,
     TestFunction,
     check_monotonicity,
     check_property_A,
@@ -262,20 +264,17 @@ def _chk_linearity(cfg, model, source, seed):
         u[dims.J] = 1j * y
         u_list.append(u)
     evals = source.on_grid([t], u_list)[0]
-    worst = 0.0
-    witnesses = []
+    scored = []
     for j in k_idx:
         samples = [(u.imag, ev.psi[j]) for u, ev in zip(u_list, evals)]
         fit = fit_linearity(samples, j, k_idx, radius)
-        worst = max(worst, fit.residual)
-        if fit.residual > cfg.thresholds.flow:
-            witnesses.append({
-                "inputs": {"component": j, "t": t},
-                "observed": {"residual": fit.residual, "zeta": fit.zeta},
-                "expected": f"residual <= {cfg.thresholds.flow}",
-            })
-    return CheckReport("linearity", f"t={t}, {len(ys)} probes, components {k_idx}",
-                       worst, cfg.thresholds.flow, witnesses)
+        scored.append((fit.residual, {
+            "inputs": {"component": j, "t": t},
+            "observed": {"residual": fit.residual, "zeta": fit.zeta},
+            "expected": f"residual <= {cfg.thresholds.flow}",
+        }))
+    return _scored_report("linearity", f"t={t}, {len(ys)} probes, components {k_idx}",
+                          cfg.thresholds.flow, scored)
 
 
 def _chk_posdef(cfg, model, source, seed):
@@ -316,27 +315,20 @@ def _chk_recover(cfg, model, source, seed):
     rng = np.random.default_rng(seed)
     u = sample_imaginary_points(dims, 1, rng)[0]
     evals = recover_phi_psi(model, dims, [0.0] + ts, u, cfg.sim.n_paths, seed)
-    worst = 0.0
-    witnesses = []
+    scored = []
     for ev in evals[1:]:
         ref = source.on_grid([ev.t], [u])[0][0]
-        z_phi = abs(ev.phi - ref.phi) / ev.phi_stderr if ev.phi_stderr > 0 else 0.0
-        z_psi = 0.0
-        for k in range(dims.d):
-            se = ev.psi_stderr[k]
-            if se > 0:
-                z_psi = max(z_psi, abs(ev.psi[k] - ref.psi[k]) / se)
-        z = max(z_phi, z_psi)
-        worst = max(worst, z)
-        if z > cfg.thresholds.stat_sigma:
-            witnesses.append({
-                "inputs": {"t": ev.t, "u": u},
-                "observed": {"phi_hat": ev.phi, "phi": ref.phi, "z_phi": z_phi,
-                             "psi_hat": ev.psi, "psi": ref.psi, "z_psi": z_psi},
-                "expected": f"z <= {cfg.thresholds.stat_sigma}",
-            })
-    return CheckReport("recover", f"times {ts}, {cfg.sim.n_paths} paths",
-                       worst, cfg.thresholds.stat_sigma, witnesses)
+        z_phi = _z_score(abs(ev.phi - ref.phi), ev.phi_stderr)
+        z_psi = max(_z_score(abs(ev.psi[k] - ref.psi[k]), ev.psi_stderr[k])
+                    for k in range(dims.d))
+        scored.append((max(z_phi, z_psi), {
+            "inputs": {"t": ev.t, "u": u},
+            "observed": {"phi_hat": ev.phi, "phi": ref.phi, "z_phi": z_phi,
+                         "psi_hat": ev.psi, "psi": ref.psi, "z_psi": z_psi},
+            "expected": f"z <= {cfg.thresholds.stat_sigma}",
+        }))
+    return _scored_report("recover", f"times {ts}, {cfg.sim.n_paths} paths",
+                          cfg.thresholds.stat_sigma, scored)
 
 
 def _chk_semihomogeneity(cfg, model, source, seed):
@@ -388,7 +380,7 @@ CHECK_NAMES = tuple(sorted(CHECKS))
 
 def cmd_verify(cfg: RunConfig, checks=None, json_out: bool = False) -> int:
     """Run the named checks (default: all) and write the report bundle."""
-    names = sorted(checks) if checks else list(CHECK_NAMES)
+    names = sorted(set(checks)) if checks else list(CHECK_NAMES)
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
         raise ConfigError(f"unknown check name(s): {', '.join(unknown)}; "

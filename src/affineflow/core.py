@@ -91,12 +91,12 @@ def as_point(u, dims: Dims) -> np.ndarray:
     return arr
 
 
-def as_state(x, dims: Dims, nonneg_eps: float = 0.0) -> np.ndarray:
+def as_state(x, dims: Dims) -> np.ndarray:
     """Coerce ``x`` to a real state vector, enforcing cone nonnegativity."""
     arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if arr.shape != (dims.d,):
         raise ValueError(f"expected a state of dimension {dims.d}, got shape {arr.shape}")
-    if dims.m and np.min(arr[dims.I]) < -nonneg_eps:
+    if dims.m and np.min(arr[dims.I]) < 0:
         raise ValueError(f"cone components must be nonnegative, got {arr[dims.I]}")
     return arr
 

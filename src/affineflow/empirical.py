@@ -19,7 +19,7 @@ import numpy as np
 from .core import Dims, as_state
 from .flow import FlowEvaluation
 from .models import AffineModel, _sub_seeds, sample_grid
-from .verify import CheckReport, _top_witnesses
+from .verify import CheckReport, _scored_report, _z_score
 
 __all__ = [
     "EcfEstimate",
@@ -123,8 +123,7 @@ def affine_factorization_test(source, dims: Dims, t: float, u_list, x_base, x_pr
     times = np.array([0.0, float(t)])
     states = [src(c, times, n_paths, s)[:, -1, :] for c, s in zip(corners, seeds)]
 
-    entries = []
-    max_z = 0.0
+    scored = []
     for u in u_list:
         g = [ecf_from_states(st, u, t) for st in states]
         defect = g[1].value * g[2].value - g[0].value * g[3].value
@@ -135,21 +134,15 @@ def affine_factorization_test(source, dims: Dims, t: float, u_list, x_base, x_pr
             + (abs(g[0].value) * g[3].stderr) ** 2
         )
         sigma = math.sqrt(var)
-        z = abs(defect) / sigma if sigma > 0 else (0.0 if defect == 0 else math.inf)
-        max_z = max(max_z, z)
-        if z > threshold:
-            entries.append((z, {
-                "inputs": {"t": t, "u": np.asarray(u), "corners": [c.tolist() for c in corners]},
-                "observed": {"defect": defect, "sigma": sigma, "z": z},
-                "expected": f"z <= {threshold}",
-            }))
-    return CheckReport(
-        "affine_factorization",
-        f"t={t}, {len(list(u_list))} u points, {n_paths} paths per corner",
-        max_z,
-        threshold,
-        _top_witnesses(entries),
-    )
+        z = _z_score(abs(defect), sigma)
+        scored.append((z, {
+            "inputs": {"t": t, "u": np.asarray(u), "corners": [c.tolist() for c in corners]},
+            "observed": {"defect": defect, "sigma": sigma, "z": z},
+            "expected": f"z <= {threshold}",
+        }))
+    return _scored_report("affine_factorization",
+                          f"t={t}, {len(list(u_list))} u points, {n_paths} paths per corner",
+                          threshold, scored)
 
 
 def recover_phi_psi(source, dims: Dims, t_grid, u, n_paths: int, seed: int) -> list[FlowEvaluation]:
@@ -224,25 +217,14 @@ def semihomogeneity_test(source, dims: Dims, t: float, u, n_paths: int, seed: in
     evals = recover_phi_psi(source, dims, [0.0, float(t)], u, n_paths, seed)
     ev = evals[-1]
     u_arr = ev.u
-    entries = []
-    max_z = 0.0
+    scored = []
     for k in range(dims.m, dims.d):
         defect = abs(ev.psi[k] - u_arr[k])
-        z = defect / ev.psi_stderr[k] if ev.psi_stderr[k] > 0 else (
-            0.0 if defect == 0 else math.inf
-        )
-        max_z = max(max_z, z)
-        if z > threshold:
-            entries.append((z, {
-                "inputs": {"t": float(t), "u": u_arr, "component": k},
-                "observed": {"psi_k": ev.psi[k], "defect": defect, "stderr": ev.psi_stderr[k]},
-                "expected": f"psi_k == u_k within {threshold} sigma",
-            }))
-    return CheckReport(
-        "semihomogeneity",
-        f"t={t}, {n_paths} paths per start, probe scale 1.0",
-        max_z,
-        threshold,
-        _top_witnesses(entries),
-    )
+        scored.append((_z_score(defect, ev.psi_stderr[k]), {
+            "inputs": {"t": float(t), "u": u_arr, "component": k},
+            "observed": {"psi_k": ev.psi[k], "defect": defect, "stderr": ev.psi_stderr[k]},
+            "expected": f"psi_k == u_k within {threshold} sigma",
+        }))
+    return _scored_report("semihomogeneity", f"t={t}, {n_paths} paths per start, probe scale 1.0",
+                          threshold, scored)
 

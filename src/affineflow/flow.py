@@ -99,8 +99,10 @@ _DP_ERR = _DP_B5 - np.array(
     dtype=np.complex128,
 )
 
+_MAX_STEPS = 200_000  # step attempts per _dp45 call before every active lane fails
 
-def _dp45(rhs, y0, checkpoints, rtol, atol, guard, max_steps=200_000):
+
+def _dp45(rhs, y0, checkpoints, rtol, atol, guard):
     """Integrate the lanes of y' = rhs(s, y) from s=0 over the ascending ``checkpoints``.
 
     ``y0`` is (L, n): L independent systems (lanes) that share one step-size
@@ -154,7 +156,7 @@ def _dp45(rhs, y0, checkpoints, rtol, atol, guard, max_steps=200_000):
     h = _initial_step(y, f, n, rtol, atol, t_end)
     err_prev = 1.0
     lane_sq = None  # per-lane squared scaled error of the last attempted step
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         if not lanes.size:
             return records, errors
         clipped = False

@@ -12,7 +12,6 @@ simulate-transform-certify pipeline.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -21,7 +20,7 @@ import numpy as np
 from .core import REGION_EPS, Dims, Tolerances, as_point
 from .flow import FlowIntegrationError, OdeFlowSource, flow_source_for, matrix_exp
 from .models import AffineModel, GeneratorPair, _sub_seeds, sample_grid, uniform_times
-from .verify import CheckReport, _top_witnesses, extract_beta
+from .verify import CheckReport, _scored_report, _z_score, extract_beta
 
 __all__ = [
     "FrameMatrix",
@@ -405,50 +404,45 @@ def frame_pipeline(model: AffineModel, t: float, u_set, x0, n_paths: int,
     except (FrameRecursionError, FlowIntegrationError) as exc:
         raise FramePipelineError("pq_recursion", str(exc)) from exc
 
-    witnesses = []
+    # every stage-4 to -6 probe is scored in units of its own threshold
+    scored = []
     # stage 4: free components of q return to u
     defects = np.max(np.abs(q_values[:, dims.J] - u_stack[:, dims.J]), axis=1, initial=0.0)
     q_defect = float(np.max(defects, initial=0.0))
     for u, q, defect in zip(u_stack, q_values, defects.tolist()):
-        if defect > q_tol:
-            witnesses.append((defect / q_tol, {
-                "inputs": {"stage": "q_invariance", "u": u},
-                "observed": {"q_free": q[dims.J], "defect": defect},
-                "expected": f"|q_J - u_J| <= {q_tol}",
-            }))
+        scored.append((defect / q_tol, {
+            "inputs": {"stage": "q_invariance", "u": u},
+            "observed": {"q_free": q[dims.J], "defect": defect},
+            "expected": f"|q_J - u_J| <= {q_tol}",
+        }))
 
     # stage 5: empirical transform of Z_t vs p exp(<q, x0>) from the generator ODE
     ecf_z = 0.0
     for u, p_ext, q_ext in zip(u_stack, p_endpoint, q_endpoint):
         est = ecf_from_states(z_end, u, t)
         predicted = p_ext * np.exp(q_ext @ x0_arr)
-        gap = abs(est.value - predicted)
-        z = gap / est.stderr if est.stderr > 0 else (0.0 if gap == 0 else math.inf)
+        z = _z_score(abs(est.value - predicted), est.stderr)
         ecf_z = max(ecf_z, z)
-        if z > stat_sigma:
-            witnesses.append((z / stat_sigma, {
-                "inputs": {"stage": "ecf_match", "u": u, "t": t},
-                "observed": {"ecf": est.value, "predicted": predicted, "z": z},
-                "expected": f"agreement within {stat_sigma} standard errors",
-            }))
+        scored.append((z / stat_sigma, {
+            "inputs": {"stage": "ecf_match", "u": u, "t": t},
+            "observed": {"ecf": est.value, "predicted": predicted, "z": z},
+            "expected": f"agreement within {stat_sigma} standard errors",
+        }))
 
     # stage 6: free-component invariance of the transformed process
     semihomog = semihomogeneity_test(z_source, dims, t, u_stack[0], n_paths, seeds[1],
                                      threshold=stat_sigma)
-    if not semihomog.passed:
-        witnesses.append((semihomog.max_violation / stat_sigma, {
-            "inputs": {"stage": "semihomogeneity", "u": u_stack[0]},
-            "observed": {"z": semihomog.max_violation},
-            "expected": f"z <= {stat_sigma}",
-        }))
+    scored.append((semihomog.max_violation / stat_sigma, {
+        "inputs": {"stage": "semihomogeneity", "u": u_stack[0]},
+        "observed": {"z": semihomog.max_violation},
+        "expected": f"z <= {stat_sigma}",
+    }))
 
-    normalized = max(q_defect / q_tol, ecf_z / stat_sigma,
-                     semihomog.max_violation / stat_sigma)
-    report = CheckReport(
+    report = _scored_report(
         "frame_pipeline",
         (f"t={t}, {len(u_stack)} u points, {n_paths} paths, N schedule {sorted(N_schedule)}, "
          f"beta {beta_origin}"),
-        normalized, 1.0, _top_witnesses(witnesses))
+        1.0, scored)
     return FramePipelineResult(
         beta=beta, frame=frame, beta_origin=beta_origin, p_values=p_values, q_values=q_values,
         p_endpoint=p_endpoint, q_endpoint=q_endpoint, pq_states=pq_states, q_defect=q_defect,

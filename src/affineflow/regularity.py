@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dims, as_point, in_domain_interior
-from .verify import CheckReport
+from .verify import CheckReport, _scored_report
 
 __all__ = [
     "DerivativeEstimate",
@@ -239,22 +239,13 @@ def riccati_consistency(source, gen, t: float, u, threshold: float = 1e-8) -> Ch
     ev = source.on_grid([float(t)], [u_arr])[0][0]
     res_r = float(np.max(np.abs(int_r - (ev.psi - u_arr))))
     res_f = abs(int_f - ev.log_phi)
-    violation = max(res_r, res_f)
-    witnesses = []
-    if violation > threshold:
-        witnesses.append({
+    return _scored_report(
+        "riccati_consistency", f"t={t}, {_QUAD_NODES}-node Gauss-Legendre x {n_panels} panels",
+        threshold, [(max(res_r, res_f), {
             "inputs": {"t": t, "u": u_arr},
-            "observed": {"fiber_residual": res_r, "scalar_residual": res_f,
-                         "panels": n_panels},
+            "observed": {"fiber_residual": res_r, "scalar_residual": res_f, "panels": n_panels},
             "expected": f"<= {threshold}",
-        })
-    return CheckReport(
-        "riccati_consistency",
-        f"t={t}, {_QUAD_NODES}-node Gauss-Legendre x {n_panels} panels",
-        violation,
-        threshold,
-        witnesses,
-    )
+        })])
 
 
 def u_jacobian(source, dims: Dims, t: float, u) -> np.ndarray:

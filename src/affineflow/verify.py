@@ -41,7 +41,9 @@ class CheckReport:
     """Outcome of one verification check.
 
     ``passed`` is always ``max_violation <= threshold``; witnesses are
-    (inputs, observed, expected) triples and must be nonempty on failure.
+    (inputs, observed, expected) triples.  Checks build their reports with
+    :func:`_scored_report`, so a failure always carries a witness: the probe
+    whose score is the violation is above the threshold.
     """
 
     check_name: str
@@ -89,10 +91,22 @@ def report_to_json(report: CheckReport) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _top_witnesses(entries, k=5):
-    """Keep the k worst (violation, witness) entries, ordered worst first."""
-    ranked = sorted(entries, key=lambda e: -e[0])
-    return [w for _, w in ranked[:k]]
+def _scored_report(name: str, grid_spec: str, threshold: float, scored) -> CheckReport:
+    """The report of a check from one ``(violation, witness)`` pair per probe.
+
+    A NaN violation counts as inf, and no probe at all scores 0.  The
+    report's violation is the worst score; its witnesses are those of the
+    five worst scores above ``threshold``, worst first (ties in probe order).
+    """
+    scored = [(math.inf if math.isnan(v) else v, w) for v, w in scored]
+    failing = sorted((e for e in scored if e[0] > threshold), key=lambda e: -e[0])
+    return CheckReport(name, grid_spec, max((v for v, _ in scored), default=0.0), threshold,
+                       [w for _, w in failing[:5]])
+
+
+def _z_score(gap: float, stderr: float) -> float:
+    """``gap`` in standard errors; at zero stderr, 0 for no gap and inf otherwise."""
+    return gap / stderr if stderr > 0 else (0.0 if gap == 0 else math.inf)
 
 
 # ----------------------------------------------------------------------------
@@ -138,8 +152,7 @@ def check_semiflow(source, t_grid, s_grid, u_set, threshold: float = 1e-8) -> Ch
     base_times = sorted(set(ts) | set(ss) | set(sums))
     inner_times = sorted(set(ts) | set(ss))
     base = source.on_grid(base_times, u_set)
-    entries = []
-    max_violation = 0.0
+    scored = []
     for j, u in enumerate(u_set):
         column = {t: row[j] for t, row in zip(base_times, base)}
         # one inner call per u: lane a starts at psi(t_a, u), lane len(ts) + b at psi(s_b, u)
@@ -154,24 +167,14 @@ def check_semiflow(source, t_grid, s_grid, u_set, threshold: float = 1e-8) -> Ch
                 mirrored = inner[t][len(ts) + i_s]
                 v_phi_m = abs(direct.phi - column[s].phi * mirrored.phi)
                 v_psi_m = float(np.max(np.abs(direct.psi - mirrored.psi)))
-                v = max(v_phi, v_psi, v_phi_m, v_psi_m)
-                if not math.isfinite(v):
-                    v = math.inf
-                max_violation = max(max_violation, v)
-                if v > threshold:
-                    entries.append((v, {
-                        "inputs": {"t": t, "s": s, "u": u},
-                        "observed": {"phi_gap": v_phi, "psi_gap": v_psi,
-                                     "phi_gap_mirrored": v_phi_m, "psi_gap_mirrored": v_psi_m},
-                        "expected": f"<= {threshold}",
-                    }))
-    return CheckReport(
-        "semiflow",
-        f"t_grid={ts}, s_grid={ss}, {len(u_set)} u points, both orders",
-        max_violation,
-        threshold,
-        _top_witnesses(entries),
-    )
+                scored.append((max(v_phi, v_psi, v_phi_m, v_psi_m), {
+                    "inputs": {"t": t, "s": s, "u": u},
+                    "observed": {"phi_gap": v_phi, "psi_gap": v_psi,
+                                 "phi_gap_mirrored": v_phi_m, "psi_gap_mirrored": v_psi_m},
+                    "expected": f"<= {threshold}",
+                }))
+    return _scored_report("semiflow", f"t_grid={ts}, s_grid={ss}, {len(u_set)} u points, "
+                          "both orders", threshold, scored)
 
 
 def check_monotonicity(source, t_grid, pairs, threshold: float = 1e-8) -> CheckReport:
@@ -193,8 +196,7 @@ def check_monotonicity(source, t_grid, pairs, threshold: float = 1e-8) -> CheckR
     # lane p is u of pair p, lane len(pairs) + p the real upper argument Re w
     rows = source.on_grid(times, [u for u, _ in pairs] +
                           [w.real.astype(np.complex128) for _, w in pairs])
-    entries = []
-    max_violation = 0.0
+    scored = []
     for p, (u_arr, w_arr) in enumerate(pairs):
         for t in t_list:
             row = rows[times.index(t)]
@@ -202,21 +204,13 @@ def check_monotonicity(source, t_grid, pairs, threshold: float = 1e-8) -> CheckR
             realness = max(abs(ev_w.phi.imag), float(np.max(np.abs(ev_w.psi.imag), initial=0.0)))
             v_phi = abs(ev_u.phi) - ev_w.phi.real
             v_psi = float(np.max(ev_u.psi.real - ev_w.psi.real, initial=-np.inf))
-            v = max(v_phi, v_psi, realness)
-            max_violation = max(max_violation, v)
-            if v > threshold:
-                entries.append((v, {
-                    "inputs": {"t": t, "u": u_arr, "w": w_arr},
-                    "observed": {"phi_excess": v_phi, "psi_excess": v_psi, "imag_leak": realness},
-                    "expected": f"<= {threshold}",
-                }))
-    return CheckReport(
-        "monotonicity",
-        f"{len(t_list)} times x {len(pairs)} pairs",
-        max_violation,
-        threshold,
-        _top_witnesses(entries),
-    )
+            scored.append((max(v_phi, v_psi, realness), {
+                "inputs": {"t": t, "u": u_arr, "w": w_arr},
+                "observed": {"phi_excess": v_phi, "psi_excess": v_psi, "imag_leak": realness},
+                "expected": f"<= {threshold}",
+            }))
+    return _scored_report("monotonicity", f"{len(t_list)} times x {len(pairs)} pairs",
+                          threshold, scored)
 
 
 def check_property_A(source, t_grid, u_set, dims: Dims) -> CheckReport:
@@ -229,8 +223,7 @@ def check_property_A(source, t_grid, u_set, dims: Dims) -> CheckReport:
     for u in u_set:
         if not in_domain_interior(u, dims):
             raise ValueError(f"probe {np.asarray(u)} is not strictly interior")
-    entries = []
-    max_violation = 0.0
+    scored = []
     times = sorted(float(t) for t in t_grid if t > 0)
     rows = source.on_grid(times, u_set) if times else []
     for j, u in enumerate(u_set):
@@ -245,20 +238,13 @@ def check_property_A(source, t_grid, u_set, dims: Dims) -> CheckReport:
                 if dims.n:
                     free_leak = float(np.max(np.abs(ev.psi.real[dims.J])))
                     v = max(v, free_leak - REGION_EPS)
-            max_violation = max(max_violation, v)
-            if v > 0.0:
-                entries.append((v, {
-                    "inputs": {"t": ev.t, "u": np.asarray(u)},
-                    "observed": {"re_psi_cone": ev.psi.real[dims.I], "re_psi_free": ev.psi.real[dims.J]},
-                    "expected": f"cone real parts < -{REGION_EPS}, free real parts within {REGION_EPS}",
-                }))
-    return CheckReport(
-        "property_a",
-        f"{len(list(u_set))} interior points x {len(times)} times",
-        max_violation,
-        0.0,
-        _top_witnesses(entries),
-    )
+            scored.append((v, {
+                "inputs": {"t": ev.t, "u": np.asarray(u)},
+                "observed": {"re_psi_cone": ev.psi.real[dims.I], "re_psi_free": ev.psi.real[dims.J]},
+                "expected": f"cone real parts < -{REGION_EPS}, free real parts within {REGION_EPS}",
+            }))
+    return _scored_report("property_a", f"{len(list(u_set))} interior points x {len(times)} times",
+                          0.0, scored)
 
 
 # ----------------------------------------------------------------------------
@@ -334,10 +320,10 @@ def extract_beta(source, dims: Dims, threshold: float = 1e-8) -> tuple[np.ndarra
 
     Columns of the one-step matrix are the fiber map at ``i e_j`` for free
     unit vectors ``e_j``, divided by i; the drift matrix is its principal
-    matrix logarithm over the probe time t = 0.5.  The violation is the
-    larger of the one-step matrix's imaginary leak and the error of the
-    exponential action on an independent (t, u) validation grid.  For n=0 the
-    matrix is empty and the report is vacuously passing.
+    matrix logarithm over the probe time t = 0.5.  The one-step matrix's
+    imaginary leak is one scored probe, and the error of the exponential
+    action at each point of an independent (t, u) validation grid is another.
+    For n=0 the matrix is empty and the report is vacuously passing.
     """
     n = dims.n
     if n == 0:
@@ -351,7 +337,6 @@ def extract_beta(source, dims: Dims, threshold: float = 1e-8) -> tuple[np.ndarra
         ev = source.on_grid([_BETA_PROBE_T], [e])[0][0]
         cols.append(ev.psi[dims.J] / 1j)
     m_mat = np.column_stack(cols)
-    imag_leak = float(np.max(np.abs(m_mat.imag)))
     m_real = m_mat.real
 
     eigvals = np.linalg.eigvals(m_real)
@@ -364,30 +349,27 @@ def extract_beta(source, dims: Dims, threshold: float = 1e-8) -> tuple[np.ndarra
         )
     beta = _principal_log(m_real) / _BETA_PROBE_T
 
+    imag_leak = float(np.max(np.abs(m_mat.imag)))
+    scored = [(imag_leak, {
+        "inputs": {"t": _BETA_PROBE_T, "u": "i e_j for each free component j"},
+        "observed": {"one_step_matrix": m_mat, "imag_leak": imag_leak},
+        "expected": f"imaginary parts <= {threshold}",
+    })]
     rng = np.random.default_rng(_BETA_CHECK_SEED)
-    entries = []
-    max_violation = imag_leak
     for t in _BETA_CHECK_TIMES:
         e_tb = matrix_exp(beta, float(t))
         for u in sample_imaginary_points(dims, 3, rng):
             ev = source.on_grid([float(t)], [u])[0][0]
             predicted = e_tb @ u[dims.J]
-            v = float(np.max(np.abs(ev.psi[dims.J] - predicted), initial=0.0))
-            max_violation = max(max_violation, v)
-            if v > threshold:
-                entries.append((v, {
-                    "inputs": {"t": float(t), "u": u},
-                    "observed": ev.psi[dims.J],
-                    "expected": predicted,
-                }))
-    report = CheckReport(
+            scored.append((float(np.max(np.abs(ev.psi[dims.J] - predicted), initial=0.0)), {
+                "inputs": {"t": float(t), "u": u},
+                "observed": ev.psi[dims.J],
+                "expected": predicted,
+            }))
+    return beta, _scored_report(
         "property_b",
         f"probe t={_BETA_PROBE_T}, validation times {list(_BETA_CHECK_TIMES)} x 3 imaginary points",
-        max_violation,
-        threshold,
-        _top_witnesses(entries),
-    )
-    return beta, report
+        threshold, scored)
 
 
 @dataclass(frozen=True)
@@ -466,8 +448,7 @@ def posdef_certificate(probe_pairs, values, threshold: float = 1e-10) -> CheckRe
     th0 = complex(values[0])
     if abs(th0 - 1.0) > 1e-12:
         raise ValueError(f"theta(0) must equal 1 (got {th0})")
-    entries = []
-    max_violation = -math.inf
+    scored = []
     for i, (y, z) in enumerate(probe_pairs):
         ty, tz, tyz, t_my, t_mz, t_myz = (complex(v) for v in values[1 + 6 * i: 7 + 6 * i])
         # points t = (0, y, -z); entry (i, j) is theta(t_i - t_j)
@@ -480,22 +461,13 @@ def posdef_certificate(probe_pairs, values, threshold: float = 1e-10) -> CheckRe
         det = float(np.linalg.det(m).real)
         herm_defect = float(np.max(np.abs(m - m.conj().T)))
         min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T))))
-        v = max(ineq, -det, -min_eig, herm_defect)
-        max_violation = max(max_violation, v)
-        if v > threshold:
-            entries.append((v, {
-                "inputs": {"y": np.asarray(y, dtype=float), "z": np.asarray(z, dtype=float)},
-                "observed": {"product_inequality": ineq, "det": det,
-                             "min_eigenvalue": min_eig, "hermitian_defect": herm_defect},
-                "expected": f"all tests >= -{threshold} (defect <= {threshold})",
-            }))
-    return CheckReport(
-        "posdef",
-        f"{len(probe_pairs)} probe pairs",
-        max_violation,
-        threshold,
-        _top_witnesses(entries),
-    )
+        scored.append((max(ineq, -det, -min_eig, herm_defect), {
+            "inputs": {"y": np.asarray(y, dtype=float), "z": np.asarray(z, dtype=float)},
+            "observed": {"product_inequality": ineq, "det": det,
+                         "min_eigenvalue": min_eig, "hermitian_defect": herm_defect},
+            "expected": f"all tests >= -{threshold} (defect <= {threshold})",
+        }))
+    return _scored_report("posdef", f"{len(probe_pairs)} probe pairs", threshold, scored)
 
 
 # ----------------------------------------------------------------------------
@@ -547,8 +519,8 @@ def feller_decay(source, model, test_fn: TestFunction, t: float, rays) -> CheckR
     below 5% of its initial value, and its envelope over consecutive thirds
     of the ray must be nonincreasing (the pointwise values oscillate along
     free-component rays, so monotonicity is asserted for the envelope, not
-    per sample).  The violation is the worst over the rays; witnesses follow
-    the ray order.
+    per sample).  The violation is the worst over the rays; witnesses are the
+    decaying-too-slowly rays, worst first.
     """
     dims = model.dims
     if dims.n != 1:
@@ -568,8 +540,7 @@ def feller_decay(source, model, test_fn: TestFunction, t: float, rays) -> CheckR
     psis = np.stack([ev.psi for ev in evals])
     scale = float(matrix_exp(model.beta, float(t))[0, 0])
 
-    specs, witnesses = [], []
-    worst = -math.inf
+    specs, scored = [], []
     for ray in rays:
         ray_pts = [np.asarray(x, dtype=float) for x in ray]
         values = np.empty(len(ray_pts))
@@ -587,13 +558,10 @@ def feller_decay(source, model, test_fn: TestFunction, t: float, rays) -> CheckR
         env = [float(np.max(values[i * third: (i + 1) * third if i < 2 else len(values)]))
                for i in range(3)]
         env_violation = max(env[1] / env[0] - 1.0, env[2] / env[1] - 1.0)
-        violation = max(final_ratio - _DECAY_RATIO, env_violation)
-        worst = max(worst, violation)
         specs.append(f"t={t}, {len(ray_pts)} ray points, window=bump on {_SUPPORT}")
-        if violation > 0:
-            witnesses.append({
-                "inputs": {"t": float(t), "ray_start": ray_pts[0], "ray_end": ray_pts[-1]},
-                "observed": {"final_ratio": final_ratio, "envelope": env},
-                "expected": f"final ratio < {_DECAY_RATIO}, nonincreasing envelope",
-            })
-    return CheckReport("feller_decay", " | ".join(specs), worst, 0.0, witnesses)
+        scored.append((max(final_ratio - _DECAY_RATIO, env_violation), {
+            "inputs": {"t": float(t), "ray_start": ray_pts[0], "ray_end": ray_pts[-1]},
+            "observed": {"final_ratio": final_ratio, "envelope": env},
+            "expected": f"final ratio < {_DECAY_RATIO}, nonincreasing envelope",
+        }))
+    return _scored_report("feller_decay", " | ".join(specs), 0.0, scored)

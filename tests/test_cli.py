@@ -301,6 +301,30 @@ def test_verify_check_subset_writes_the_reports_of_a_full_run(tmp_path):
         assert (subset / artifact).read_bytes() == (full / artifact).read_bytes(), artifact
 
 
+def test_recover_at_zero_stderr_fails_like_factorization(tmp_path, capsys):
+    """One path per start has zero standard error: any gap is inf sigmas, in both checks."""
+    cfg = write_cfg(tmp_path, CIR_FAST.replace("sim.paths = 800", "sim.paths = 1"))
+    out = tmp_path / "out"
+    code = main(["verify", "--config", cfg, "--checks", "recover,factorization",
+                 "--out", str(out)])
+    assert code == EXIT_CHECK_FAILURE
+    summary = json.loads((out / "summary.json").read_text())
+    for name in ("factorization", "recover"):
+        assert summary["checks"][name]["passed"] is False
+        assert summary["checks"][name]["max_violation"] == float("inf")
+        assert json.loads((out / f"{name}.json").read_text())["witnesses"]
+
+
+def test_verify_runs_a_repeated_check_name_once(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, CIR_FAST)
+    out = tmp_path / "out"
+    code = main(["verify", "--config", cfg, "--checks", "semiflow,semiflow", "--out", str(out)])
+    assert code == EXIT_PASS
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(line.startswith("verify semiflow:") for line in lines) == 1
+    assert json.loads((out / "run_metadata.json").read_text())["checks"] == ["semiflow"]
+
+
 # ---------------------------------------------------------------------------
 # frame subcommand
 

@@ -54,8 +54,6 @@ def test_as_state_cone():
     assert x.dtype == np.float64 and x[0] == 0.5
     with pytest.raises(ValueError):
         as_state([-0.5, 0.0], D11)
-    # a small tolerance band admits slightly-negative cone entries
-    assert as_state([-1e-12, 0.0], D11, nonneg_eps=1e-9)[0] == -1e-12
 
 
 def test_classify_region_frozen_points():

@@ -18,6 +18,7 @@ from affineflow.flow import (
     matrix_exp,
     ode_flow,
 )
+from affineflow import flow as flow_module
 from affineflow.models import GeneratorPair, make_cir, make_heston_like, make_levy
 
 
@@ -327,6 +328,13 @@ def test_step_underflow_fails_only_the_lane_that_forces_it():
             assert ev.in_Q and abs(ev.psi[0] - 1j * y0 / (1 + y0 * ev.t)) < 1e-9
         alone = flow_on_grid(gen, dims, times, [us[j]], _TIGHT)
         assert all(_gap(ev, ref) < 1e-10 for ev, ref in zip(grid.column(j), alone.column(0)))
+
+
+def test_step_budget_exhaustion_is_an_integration_error(cir, monkeypatch):
+    """A solve that runs out of step attempts fails every lane it still carries."""
+    monkeypatch.setattr(flow_module, "_MAX_STEPS", 5)
+    with pytest.raises(FlowIntegrationError, match="step budget"):
+        OdeFlowSource(cir.gen, cir.dims, _TIGHT).on_grid([2.0], [np.array([-1.0 + 0.5j])])
 
 
 def test_catalog_generators_act_on_argument_stacks(catalog):

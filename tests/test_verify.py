@@ -95,6 +95,23 @@ def test_monotonicity_cir(cir):
                            [(np.array([-0.2 + 0j]), np.array([-0.5 + 0j]))])
 
 
+def test_monotonicity_reads_a_nan_cell_as_inf(cir):
+    """A u lane that left the domain answers NaN; that probe must fail, with a witness."""
+
+    def exiting(t, u):
+        if np.any(np.asarray(u).imag != 0):  # the u lanes; the Re w lanes are real
+            nan = complex(np.nan, np.nan)
+            return FlowEvaluation(float(t), u, nan, np.full(1, nan), nan, in_Q=False)
+        return cir.closed_flow(t, u)
+
+    pairs = [(np.array([-1.0 + 0.8j]), np.array([-0.5 + 0j]))]
+    report = check_monotonicity(ClosedFlowSource(exiting), [0.3], pairs)
+    assert not report.passed
+    assert math.isinf(report.max_violation)
+    assert len(report.witnesses) == 1
+    assert np.array_equal(report.witnesses[0]["inputs"]["u"], pairs[0][0])
+
+
 def test_property_a_interior_preservation(cir, heston0):
     report = check_property_A(ClosedFlowSource(cir.closed_flow), [0.5, 1.0, 3.0],
                               [np.array([-0.8 + 0.4j]), np.array([-2.0 - 1.0j])],
@@ -163,6 +180,39 @@ def test_extract_beta_recovers_a_rotating_drift():
     assert np.isrealobj(beta)
     assert np.max(np.abs(beta - beta_true)) < 1e-12
     assert report.passed and report.max_violation < 1e-12
+
+
+def test_extract_beta_imaginary_leak_fails_with_a_witness():
+    """A one-step matrix with an imaginary part above the threshold is itself a failing probe."""
+
+    def leaking(t, u):
+        u_arr = np.asarray(u, dtype=np.complex128)
+        leak = 1e-6 if t == 0.5 else 0.0  # only at the probe time; validation is exact
+        return FlowEvaluation(float(t), u_arr, 1 + 0j, math.exp(-t) * u_arr + leak, 0j)
+
+    beta, report = extract_beta(ClosedFlowSource(leaking), Dims(0, 1))
+    assert abs(beta[0, 0] + 1.0) < 1e-12
+    assert not report.passed
+    assert report.max_violation == pytest.approx(1e-6)
+    assert len(report.witnesses) == 1
+    assert report.witnesses[0]["observed"]["imag_leak"] == report.max_violation
+
+
+def test_scored_report_rule():
+    """Worst score is the violation, NaN is inf, witnesses are the worst five failures."""
+    scores = [0.5, 3.0, 0.1, 2.0, 7.0, 2.0, 1.5, 4.0]
+    report = verify._scored_report("demo", "grid", 1.0, [(v, i) for i, v in enumerate(scores)])
+    assert report.max_violation == 7.0 and not report.passed
+    assert report.witnesses == [4, 7, 1, 3, 5]  # worst first, ties in probe order
+    nan_report = verify._scored_report("demo", "grid", 1.0, [(0.2, "a"), (math.nan, "b")])
+    assert math.isinf(nan_report.max_violation) and nan_report.witnesses == ["b"]
+    empty = verify._scored_report("demo", "grid", 1.0, [])
+    assert empty.max_violation == 0.0 and empty.passed and empty.witnesses == []
+    # scores may be negative: a certificate with slack to spare
+    assert verify._scored_report("demo", "grid", 0.0, [(-0.3, "a")]).max_violation == -0.3
+    assert verify._z_score(2.0, 0.5) == 4.0
+    assert verify._z_score(0.0, 0.0) == 0.0
+    assert math.isinf(verify._z_score(1e-300, 0.0))
 
 
 def test_principal_log_exact_on_diagonal_input():
