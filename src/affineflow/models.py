@@ -2,12 +2,13 @@
 
 Three affine families cover the state-space shapes (pure free part, pure cone,
 mixed), plus a deliberately non-affine control process used to falsify the
-statistical checks.  ``sample_grid`` is the one way to draw paths: path p
-draws from the PCG64 stream of ``SeedSequence(entropy=seed, spawn_key=(p,))``,
-and the sampler runs on blocks of ``CHUNK_PATHS`` paths, so results are
-bit-for-bit reproducible and independent of how paths are batched.  The
-streams of a block are seeded together (``_stream_words``: one vectorised
-pass of SeedSequence's hash), and path indices must be below 2**32.
+statistical checks.  ``sample_grid`` is the one way to draw paths.  Paths come
+in blocks of ``BLOCK_PATHS``: block b (paths ``b * BLOCK_PATHS`` onwards)
+draws from the PCG64 stream of ``SeedSequence(entropy=seed, spawn_key=(b,))``,
+and every sampler makes its draws per block, vectorised over the block's
+paths.  The sampler runs on chunks of ``CHUNK_PATHS`` paths, a whole number of
+blocks, so results are bit-for-bit reproducible and independent of chunking
+and of the window of paths a call asks for.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "MODEL_FACTORIES",
     "simulate",
     "sample_grid",
+    "BLOCK_PATHS",
     "CHUNK_PATHS",
     "uniform_times",
 ]
@@ -78,11 +80,21 @@ class AffineModel:
 # samplers
 
 
-def _normal_block(rngs, shape) -> np.ndarray:
-    """Standard normals of shape (len(rngs), *shape); row p comes from stream p alone."""
-    out = np.empty((len(rngs), *shape))
-    for p, rng in enumerate(rngs):
-        rng.standard_normal(out=out[p])
+# Paths per generator, part of the stream contract: block b of a run (paths
+# b * BLOCK_PATHS onwards) draws from the stream of spawn key (seed, b), and a
+# sampler given k block generators returns k * BLOCK_PATHS rows, block b's rows
+# drawn from ``rngs[b]`` alone.  Changing it changes every seeded draw.
+BLOCK_PATHS = 512
+
+# Substeps of Heston noise drawn per block and call: it bounds the noise
+# window and changes no value, since each block reads its stream in order.
+_NOISE_SUBSTEPS = 16
+
+
+def _fill_normals(rngs, out) -> np.ndarray:
+    """Fill ``out[b]`` with standard normals from block generator ``rngs[b]``, one draw each."""
+    for rng, block in zip(rngs, out):
+        rng.standard_normal(out=block)
     return out
 
 
@@ -97,9 +109,10 @@ class GaussianIncrementSampler:
         dts = np.diff(times)
         sqdt = np.sqrt(dts)
         d = len(x0)
-        xi = _normal_block(rngs, (len(dts), d))
+        xi = _fill_normals(rngs, np.empty((len(rngs), BLOCK_PATHS, len(dts), d)))
+        xi = xi.reshape(-1, len(dts), d)
         incr = dts[:, None] * self.drift + (xi @ self.scale.T) * sqdt[:, None]
-        out = np.empty((len(rngs), len(times), d))
+        out = np.empty((len(xi), len(times), d))
         out[:, 0] = x0
         out[:, 1:] = x0 + np.cumsum(incr, axis=1)
         return out
@@ -129,17 +142,13 @@ class CirExactSampler:
             e_fac = -np.expm1(-self.b * dts) / self.b
         c = 0.25 * self.sigma**2 * e_fac
         df2 = 2.0 * self.a / self.sigma**2  # df/2
-        out = np.empty((len(rngs), len(times), 1))
-        out[:, 0, 0] = x0[0]
-        for p, rng in enumerate(rngs):
-            x = x0[0]
-            row = out[p, :, 0]
+        out = np.empty((len(rngs), BLOCK_PATHS, len(times)))
+        out[:, :, 0] = x0[0]
+        for rng, rows in zip(rngs, out):
             for k in range(len(dts)):
-                nc2 = x * ebd[k] / (2.0 * c[k])
-                n_mix = rng.poisson(nc2)
-                x = 2.0 * c[k] * rng.standard_gamma(df2 + n_mix)
-                row[k + 1] = x
-        return out
+                n_mix = rng.poisson(rows[:, k] * ebd[k] / (2.0 * c[k]))
+                rows[:, k + 1] = 2.0 * c[k] * rng.standard_gamma(df2 + n_mix)
+        return out.reshape(-1, len(times), 1)
 
 
 class HestonEulerSampler:
@@ -168,29 +177,36 @@ class HestonEulerSampler:
     def sample_chunk(self, x0, times, rngs):
         dts, counts = self._substep_plan(times)
         total = int(np.sum(counts))
-        c = len(rngs)
-        noise = _normal_block(rngs, (total, 2))
+        shape = (len(rngs), BLOCK_PATHS)
+        # substep-major noise, (substeps, 2, BLOCK_PATHS) per block: every
+        # column a substep reads is contiguous within its block
+        noise = np.empty((len(rngs), _NOISE_SUBSTEPS, 2, BLOCK_PATHS))
 
-        out = np.empty((c, len(times), 2))
-        out[:, 0, 0] = x0[0]
-        out[:, 0, 1] = x0[1]
-        v = np.full(c, x0[0])
-        y = np.full(c, x0[1])
+        out = np.empty((*shape, len(times), 2))
+        out[:, :, 0] = x0
+        v = np.full(shape, x0[0])
+        y = np.full(shape, x0[1])
         pos = 0
         for k in range(len(dts)):
             eta = dts[k] / counts[k]
             se = math.sqrt(eta)
             for _ in range(counts[k]):
-                xi1 = noise[:, pos, 0]
-                xi2 = noise[:, pos, 1]
+                w = pos % _NOISE_SUBSTEPS
+                if w == 0:
+                    _fill_normals(rngs, noise[:, :total - pos])
+                xi1 = noise[:, w, 0]
+                xi2 = noise[:, w, 1]
                 vp = np.maximum(v, 0.0)
                 sq = np.sqrt(vp)
-                v = v + (self.a - self.b * vp) * eta + self.sigma * sq * se * xi1
-                y = y + (-self.lam * y) * eta + sq * se * (self.rho * xi1 + self.rho_c * xi2)
+                sq *= se  # sqrt(v+ eta)
+                dw1 = sq * xi1
+                v += self.a * eta - (self.b * eta) * vp + self.sigma * dw1
+                y *= 1.0 - self.lam * eta
+                y += self.rho * dw1 + self.rho_c * sq * xi2
                 pos += 1
-            out[:, k + 1, 0] = np.maximum(v, 0.0)
-            out[:, k + 1, 1] = y
-        return out
+            out[:, :, k + 1, 0] = np.maximum(v, 0.0)
+            out[:, :, k + 1, 1] = y
+        return out.reshape(-1, len(times), 2)
 
 
 class SquaredStartBrownianSampler:
@@ -204,8 +220,8 @@ class SquaredStartBrownianSampler:
     def sample_chunk(self, x0, times, rngs):
         dts = np.diff(times)
         sqdt = np.sqrt(dts)
-        xi = _normal_block(rngs, (len(dts),))
-        out = np.empty((len(rngs), len(times), 1))
+        xi = _fill_normals(rngs, np.empty((len(rngs), BLOCK_PATHS, len(dts)))).reshape(-1, len(dts))
+        out = np.empty((len(xi), len(times), 1))
         out[:, 0, 0] = x0[0]
         out[:, 1:, 0] = x0[0] ** 2 + np.cumsum(xi * sqdt, axis=1)
         return out
@@ -451,71 +467,12 @@ def uniform_times(horizon: float, grid_step: float) -> np.ndarray:
     return np.arange(n_steps + 1) * grid_step
 
 
-# Paths per sampler call in ``sample_grid``; it bounds the samplers' working
-# arrays.  At a chunk's peak these are the sampler's noise block and output
-# block; under the frame sampler the output is the fine block, which the
-# transform then works through in smaller path tiles.
+# Paths per sampler call in ``sample_grid``, a multiple of ``BLOCK_PATHS``; it
+# bounds the samplers' working arrays and changes no value.  At a chunk's peak
+# these are the sampler's output block and, for Heston, a noise window of
+# ``_NOISE_SUBSTEPS`` substeps; under the frame sampler the output is the fine
+# block, which the transform then works through in smaller path tiles.
 CHUNK_PATHS = 4096
-
-
-# numpy's SeedSequence hash constants (``numpy/random/bit_generator.pyx``).
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-
-
-def _n_words(x) -> int:
-    """How many uint32 words SeedSequence makes of an int or a (nested) sequence of ints."""
-    if isinstance(x, (int, np.integer)):
-        return max(1, -(-int(x).bit_length() // 32))
-    return sum(_n_words(v) for v in x)
-
-
-def _stream_words(seed, lo: int, hi: int) -> np.ndarray:
-    """PCG64 seed words of the path streams ``lo, ..., hi-1``, shape (hi - lo, 4).
-
-    Row ``p - lo`` equals ``SeedSequence(entropy=root.entropy,
-    spawn_key=root.spawn_key + (p,)).generate_state(4, np.uint64)`` for
-    ``root = SeedSequence(seed)``, computed for all p at once: the child's
-    entropy is the root's plus the one word p, so its pool is the root's pool
-    with p hash-mixed into each word, and its state is the output hash of
-    that pool.  Path indices must fit one word.
-    """
-    if hi - 1 > _MASK32:
-        raise ValueError(f"path index {hi - 1} is past 2**32 - 1")
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    root = np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key)  # children's pool size
-    # hashing the child's first n entropy words takes the mixing constant through 4n steps
-    hash_a = _INIT_A * pow(_MULT_A, 4 * (max(4, _n_words(root.entropy)) + _n_words(root.spawn_key)),
-                           1 << 32) & _MASK32
-    p = np.arange(lo, hi, dtype=np.uint32)
-    pool = np.empty((hi - lo, 4), dtype=np.uint32)
-    for i in range(4):
-        h_in, hash_a = hash_a, hash_a * _MULT_A & _MASK32
-        mixed = (p ^ np.uint32(h_in)) * np.uint32(hash_a)
-        mixed ^= mixed >> 16
-        word = np.uint32(_MIX_MULT_L * int(root.pool[i]) & _MASK32) - np.uint32(_MIX_MULT_R) * mixed
-        pool[:, i] = word ^ (word >> 16)
-    state = np.empty((hi - lo, 8), dtype=np.uint32)
-    hash_b = _INIT_B
-    for i in range(8):
-        h_in, hash_b = hash_b, hash_b * _MULT_B & _MASK32
-        word = (pool[:, i % 4] ^ np.uint32(h_in)) * np.uint32(hash_b)
-        state[:, i] = word ^ (word >> 16)
-    return state.astype("<u4").view("<u8").astype(np.uint64)
-
-
-class _StreamSeed(np.random.bit_generator.ISeedSequence):
-    """A path stream's precomputed seed words, handed to PCG64 as its seed sequence."""
-
-    __slots__ = ("words",)
-
-    def __init__(self, words):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
 
 
 def _sub_seeds(seed, count: int) -> list[int]:
@@ -528,10 +485,11 @@ def sample_grid(model: AffineModel, x0, record_times, n_paths: int, seed,
     """Sample path values on ``record_times`` for ``n_paths`` paths.
 
     Returns an array of shape (n_paths, len(record_times), d).  Row p is path
-    ``path_offset + p`` and consumes that path's stream alone, so the result
+    ``path_offset + p``; the sampler runs on whole blocks, chunk by chunk,
+    from the block holding the first requested path, and only the requested
+    rows are kept.  Since each block draws from its own stream, the result
     equals rows [offset, offset+n) of a run from offset 0 bit for bit, and
     neither ``CHUNK_PATHS`` nor slicing a big ensemble changes any value.
-    Path indices past 2**32 - 1 are a ``ValueError``.
     """
     times = np.asarray(record_times, dtype=float)
     if times.ndim != 1 or len(times) < 2 or times[0] != 0.0 or np.any(np.diff(times) <= 0):
@@ -542,12 +500,18 @@ def sample_grid(model: AffineModel, x0, record_times, n_paths: int, seed,
     if path_offset < 0:
         raise ValueError("path_offset must be nonnegative")
 
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    end = path_offset + n_paths
+    last_block, per_chunk = -(-end // BLOCK_PATHS), CHUNK_PATHS // BLOCK_PATHS
     out = np.empty((n_paths, len(times), model.dims.d))
-    for lo in range(0, n_paths, CHUNK_PATHS):
-        hi = min(lo + CHUNK_PATHS, n_paths)
-        words = _stream_words(seed, path_offset + lo, path_offset + hi)
-        rngs = [np.random.Generator(np.random.PCG64(_StreamSeed(w))) for w in words]
-        out[lo:hi] = model.sampler.sample_chunk(x0_arr, times, rngs)
+    for first in range(path_offset // BLOCK_PATHS, last_block, per_chunk):
+        blocks = range(first, min(first + per_chunk, last_block))
+        rngs = [np.random.default_rng(np.random.SeedSequence(
+                    entropy=root.entropy, spawn_key=(*root.spawn_key, b))) for b in blocks]
+        chunk = model.sampler.sample_chunk(x0_arr, times, rngs)
+        start = first * BLOCK_PATHS
+        lo, hi = max(start, path_offset), min(start + len(chunk), end)
+        out[lo - path_offset:hi - path_offset] = chunk[lo - start:hi - start]
     return out
 
 

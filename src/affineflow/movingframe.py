@@ -298,8 +298,8 @@ def transformed_state_source(model: AffineModel, frame: FrameMatrix,
     is path p of ``sample_grid`` on the same seed, transformed.  The copy
     carries no flow, so nothing reads the base model's flow as the
     transformed one's.  ``sample_grid`` chunks the paths and the sampler
-    transforms each chunk in path tiles, so at the peak the full-resolution
-    arrays are one chunk's fine block and the base sampler's noise block.
+    transforms each chunk in path tiles, so at the peak the one
+    full-resolution array is a chunk's fine block.
     """
     if internal_dt <= 0:
         raise ValueError("internal_dt must be positive")

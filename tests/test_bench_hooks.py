@@ -49,7 +49,8 @@ def test_sample_chunk_takes_x0_times_rngs(tracer):
 def test_sample_grid_hands_each_sampler_a_list_of_generators(levy, cir, heston0, control,
                                                             monkeypatch):
     """The tracer counts ``models.streams`` as ``len(rngs)`` for lists and tuples only."""
-    monkeypatch.setattr(models, "CHUNK_PATHS", 4)
+    monkeypatch.setattr(models, "BLOCK_PATHS", 3)
+    monkeypatch.setattr(models, "CHUNK_PATHS", 12)
     for model in (levy, cir, heston0, control):
         seen = []
         sample_chunk = type(model.sampler).sample_chunk
@@ -60,7 +61,7 @@ def test_sample_grid_hands_each_sampler_a_list_of_generators(levy, cir, heston0,
 
         # replace the class attribute, as the tracer does
         monkeypatch.setattr(type(model.sampler), "sample_chunk", recording)
-        models.sample_grid(model, model.x0_default, [0.0, 0.5], 10, seed=3)
+        models.sample_grid(model, model.x0_default, [0.0, 0.5], 28, seed=3)
         assert [len(r) for r in seen] == [4, 4, 2], model.name
         assert all(type(r) is list and all(type(g) is np.random.Generator for g in r)
                    for r in seen), model.name
@@ -76,7 +77,8 @@ def test_transformed_source_hook_and_the_base_sampler_calls(tracer, heston1, mon
     with t.operation("op"):
         assert np.array_equal(traced([0.3, 0.5], record, 10, 6), source([0.3, 0.5], record, 10, 6))
 
-    monkeypatch.setattr(models, "CHUNK_PATHS", 4)
+    monkeypatch.setattr(models, "BLOCK_PATHS", 3)
+    monkeypatch.setattr(models, "CHUNK_PATHS", 12)
     seen = []
     sample_chunk = type(heston1.sampler).sample_chunk
 
@@ -85,7 +87,7 @@ def test_transformed_source_hook_and_the_base_sampler_calls(tracer, heston1, mon
         return sample_chunk(self, x0, times, rngs)
 
     monkeypatch.setattr(type(heston1.sampler), "sample_chunk", recording)
-    source([0.3, 0.5], record, 10, 6)
+    source([0.3, 0.5], record, 28, 6)
     assert [len(rngs) for _, rngs in seen] == [4, 4, 2]
     assert all(np.array_equal(times, models.uniform_times(0.5, 0.05)) for times, _ in seen)
     assert all(type(rngs) is list and all(type(g) is np.random.Generator for g in rngs)

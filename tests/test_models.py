@@ -1,5 +1,7 @@
 """Catalog models and samplers: exactness, seeding, windows."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -82,18 +84,22 @@ def test_seed_determinism(heston0):
 
 
 def test_chunk_size_never_changes_results(levy, monkeypatch):
+    monkeypatch.setattr(models, "BLOCK_PATHS", 2)
     times = uniform_times(1.0, 0.5)
-    whole = sample_grid(levy, [0.0, 0.0], times, 10, seed=4)
-    monkeypatch.setattr(models, "CHUNK_PATHS", 3)
-    chunked = sample_grid(levy, [0.0, 0.0], times, 10, seed=4)
+    whole = sample_grid(levy, [0.0, 0.0], times, 10, seed=4, path_offset=1)
+    monkeypatch.setattr(models, "CHUNK_PATHS", 4)
+    chunked = sample_grid(levy, [0.0, 0.0], times, 10, seed=4, path_offset=1)
     assert np.array_equal(chunked, whole)
 
 
-def test_window_equals_slice_of_full_run(heston0):
+def test_window_equals_slice_of_full_run(heston0, monkeypatch):
+    """A window starting and ending inside blocks, across a chunk boundary, is a slice."""
+    monkeypatch.setattr(models, "BLOCK_PATHS", 4)
+    monkeypatch.setattr(models, "CHUNK_PATHS", 8)
     times = uniform_times(0.5, 0.25)
     full = sample_grid(heston0, [0.3, 0.0], times, 24, seed=5)
-    win = sample_grid(heston0, [0.3, 0.0], times, 6, seed=5, path_offset=9)
-    assert np.array_equal(win, full[9:15])
+    win = sample_grid(heston0, [0.3, 0.0], times, 14, seed=5, path_offset=5)
+    assert np.array_equal(win, full[5:19])
 
 
 def test_window_validation(levy):
@@ -108,41 +114,51 @@ def test_window_validation(levy):
         sample_grid(levy, [0.0, 0.0], [0.1, 0.5], 4, seed=1)  # must start at 0
 
 
-_ROOTS = [0, 42, 2**70 + 3, [1, 2, 3, 4, 5, 6], np.random.SeedSequence(9).spawn(4)[3], np.uint32(7),
-          np.random.SeedSequence(5, pool_size=8)]
-_INDICES = [*range(20), 4095, 4096, 2**32 - 1]
-
-
-@pytest.mark.parametrize("seed", _ROOTS,
-                         ids=["0", "42", "2**70+3", "list", "spawned", "uint32", "pool_size8"])
-def test_stream_words_equal_spawned_seed_sequences(seed):
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    for p in _INDICES:
-        child = np.random.SeedSequence(entropy=root.entropy, spawn_key=tuple(root.spawn_key) + (p,))
-        assert np.array_equal(models._stream_words(seed, p, p + 1)[0],
-                              child.generate_state(4, np.uint64)), p
-    block = models._stream_words(seed, 0, 20)
-    rows = [models._stream_words(seed, p, p + 1)[0] for p in range(20)]
-    assert np.array_equal(block, np.stack(rows))
-
-
 @pytest.mark.parametrize("name", ["cir", "levy", "heston0", "control"])
-def test_path_p_draws_from_spawned_stream_p(name, cir, levy, heston0, control):
-    """A 10-path window crossing a ``CHUNK_PATHS`` multiple; each path keeps its own stream."""
+def test_block_b_draws_from_spawned_stream_b(name, cir, levy, heston0, control):
+    """A window across a block and a ``CHUNK_PATHS`` boundary; block b reads stream b alone."""
     model = {"cir": cir, "levy": levy, "heston0": heston0, "control": control}[name]
     x0, times, seed = model.x0_default, np.array([0.0, 0.1, 0.35]), 20240
-    lo = models.CHUNK_PATHS - 6
-    streams = [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(p,)))
-               for p in range(lo, lo + 10)]
+    lo, n = models.CHUNK_PATHS - models.BLOCK_PATHS - 5, models.BLOCK_PATHS + 10
+    first = lo // models.BLOCK_PATHS
+    streams = [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
+               for b in range(first, first + 3)]
     expected = model.sampler.sample_chunk(x0, times, streams)
-    assert np.array_equal(sample_grid(model, x0, times, 10, seed, path_offset=lo), expected)
+    start = lo - first * models.BLOCK_PATHS
+    assert np.array_equal(sample_grid(model, x0, times, n, seed, path_offset=lo),
+                          expected[start:start + n])
 
 
-def test_path_index_must_fit_one_word(levy):
-    with pytest.raises(ValueError, match="2\\*\\*32"):
-        sample_grid(levy, [0.0, 0.0], [0.0, 1.0], 1, seed=1, path_offset=2**32)
-    last = sample_grid(levy, [0.0, 0.0], [0.0, 1.0], 1, seed=1, path_offset=2**32 - 1)
-    assert last.shape == (1, 2, 2)
+def test_seed_sequence_root_spawns_its_block_streams(levy):
+    root = np.random.SeedSequence(9).spawn(4)[3]
+    stream = np.random.default_rng(np.random.SeedSequence(entropy=9, spawn_key=(3, 2)))
+    expected = levy.sampler.sample_chunk(levy.x0_default, np.array([0.0, 1.0]), [stream])
+    offset = 2 * models.BLOCK_PATHS
+    got = sample_grid(levy, levy.x0_default, [0.0, 1.0], 4, root, path_offset=offset)
+    assert np.array_equal(got, expected[:4])
+
+
+def test_path_offset_past_two_to_the_32(levy):
+    """Block indices are spawn-key words of any size; a far window is a slice of its block."""
+    far = 2**32 + 5
+    start = far - far % models.BLOCK_PATHS
+    win = sample_grid(levy, [0.0, 0.0], [0.0, 1.0], 3, seed=1, path_offset=far)
+    block = sample_grid(levy, [0.0, 0.0], [0.0, 1.0], far - start + 3, seed=1, path_offset=start)
+    assert np.array_equal(win, block[far - start:])
+
+
+def test_cir_at_a_zero_absorbs_exactly_at_zero():
+    """a = 0: zero is absorbing, and P(X_t = 0) = exp(-2 x0 e^{-bt} / (sigma^2 E(t)))."""
+    model = make_cir(0.0, 1.0, 1.0)
+    times = uniform_times(3.0, 0.25)
+    assert np.all(sample_grid(model, [0.0], times, 600, seed=8) == 0.0)
+    vals = sample_grid(model, [1.0], times, 20_000, seed=8)[:, :, 0]
+    absorbed = vals == 0.0
+    assert np.all(absorbed[:, 1:] >= absorbed[:, :-1])  # no path leaves 0 once there
+    t, x0 = times[-1], 1.0
+    p0 = math.exp(-2.0 * x0 * math.exp(-t) / (-math.expm1(-t)))
+    stderr = math.sqrt(p0 * (1.0 - p0) / len(vals))
+    assert abs(np.mean(absorbed[:, -1]) - p0) < 4.0 * stderr
 
 
 def test_zero_covariance_is_pure_drift():

@@ -309,20 +309,22 @@ def test_transformed_state_source_identity_for_zero_drift(levy):
 
 
 def test_transformed_state_source_never_depends_on_chunking(heston1, monkeypatch):
-    """Cutting the transform loop into blocks of 3 paths changes no row."""
+    """Cutting the transform loop into chunks of two 2-path blocks changes no row."""
     frame = build_frame(heston1.beta, heston1.dims)
     src = transformed_state_source(heston1, frame, internal_dt=0.05)
     record = np.array([0.0, 0.25, 0.5])
-    whole = src([0.3, 0.5], record, 10, seed=6)
-    monkeypatch.setattr(models, "CHUNK_PATHS", 3)
-    chunked = src([0.3, 0.5], record, 10, seed=6)
+    monkeypatch.setattr(models, "BLOCK_PATHS", 2)
+    whole = src([0.3, 0.5], record, 10, seed=6, path_offset=1)
+    monkeypatch.setattr(models, "CHUNK_PATHS", 4)
+    chunked = src([0.3, 0.5], record, 10, seed=6, path_offset=1)
     assert np.array_equal(chunked, whole)
 
 
 def test_frame_tiles_never_change_a_row(heston1, monkeypatch):
-    """Path tiles of 3 inside chunks of 5 give the whole-block transform bit for bit (K != 0)."""
+    """Path tiles of 3 inside chunks of 6 give the whole-block transform bit for bit (K != 0)."""
     monkeypatch.setattr(movingframe, "TILE_PATHS", 3)
-    monkeypatch.setattr(models, "CHUNK_PATHS", 5)
+    monkeypatch.setattr(models, "BLOCK_PATHS", 2)
+    monkeypatch.setattr(models, "CHUNK_PATHS", 6)
     frame = build_frame(heston1.beta, heston1.dims)
     record = np.array([0.0, 0.25, 0.5])
     got = transformed_state_source(heston1, frame, internal_dt=0.05)([0.3, 0.5], record, 10, seed=6)
@@ -333,10 +335,10 @@ def test_frame_tiles_never_change_a_row(heston1, monkeypatch):
 
 
 def test_frame_sampler_peak_memory_is_about_one_fine_block(heston1):
-    """Under tracemalloc a 512-path chunk peaks at the fine block plus the sampler's noise."""
+    """Under tracemalloc a one-block chunk peaks at the fine block plus the sampler's noise."""
     frame = build_frame(heston1.beta, heston1.dims)
     sampler = movingframe._FrameSampler(heston1.sampler, frame, 1e-3)
-    rngs = [np.random.default_rng(p) for p in range(512)]
+    rngs = [np.random.default_rng(0)]
     x0, times = np.array([0.3, 0.5]), np.array([0.0, 0.5])
     tracemalloc.start()
     try:
@@ -344,7 +346,7 @@ def test_frame_sampler_peak_memory_is_about_one_fine_block(heston1):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    fine_block_bytes = 512 * 501 * 2 * 8
+    fine_block_bytes = models.BLOCK_PATHS * 501 * 2 * 8
     assert peak <= 2.5 * fine_block_bytes, peak / fine_block_bytes
 
 
