@@ -1,6 +1,7 @@
 """Catalog models and samplers: exactness, seeding, windows."""
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -136,6 +137,45 @@ def test_seed_sequence_root_spawns_its_block_streams(levy):
     offset = 2 * models.BLOCK_PATHS
     got = sample_grid(levy, levy.x0_default, [0.0, 1.0], 4, root, path_offset=offset)
     assert np.array_equal(got, expected[:4])
+
+
+_ROOTS = [0, 42, 2**70 + 3, [1, 2, 3, 4, 5, 6], np.random.SeedSequence(9).spawn(4)[3], np.uint32(7),
+          np.random.SeedSequence(5, pool_size=8)]
+
+
+class _RecordingSampler:
+    """Keeps the block generators ``sample_grid`` hands it; draws nothing."""
+
+    def __init__(self):
+        self.rngs = []
+
+    def sample_chunk(self, x0, times, rngs):
+        self.rngs.extend(rngs)
+        return np.zeros((len(rngs) * models.BLOCK_PATHS, len(times), len(x0)))
+
+
+@pytest.mark.parametrize("seed", _ROOTS,
+                         ids=["0", "42", "2**70+3", "list", "spawned", "uint32", "pool_size8"])
+def test_stream_words_equal_spawned_seed_sequences(seed, levy):
+    """Block b's generator is seeded by the words of the root's child with spawn key (..., b)."""
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+
+    def streams(first, count):
+        sampler = _RecordingSampler()
+        recorder = types.SimpleNamespace(dims=levy.dims, sampler=sampler)
+        sample_grid(recorder, [0.0, 0.0], [0.0, 1.0], count * models.BLOCK_PATHS, seed,
+                    path_offset=first * models.BLOCK_PATHS)
+        return sampler.rngs
+
+    per_chunk = models.CHUNK_PATHS // models.BLOCK_PATHS
+    blocks = [*range(per_chunk + 3), 2**32 - 1, 2**32 + 5]
+    rngs = streams(0, per_chunk + 3) + streams(2**32 - 1, 1) + streams(2**32 + 5, 1)
+    assert len(rngs) == len(blocks)
+    for b, rng in zip(blocks, rngs):
+        child = np.random.SeedSequence(entropy=root.entropy, spawn_key=(*root.spawn_key, b))
+        assert np.array_equal(rng.bit_generator.seed_seq.generate_state(4, np.uint64),
+                              child.generate_state(4, np.uint64)), b
+        assert rng.bit_generator.state == np.random.PCG64(child).state, b
 
 
 def test_path_offset_past_two_to_the_32(levy):
