@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig, load_config
-from .core import Dims, as_state
+from .core import Dims, as_state, outside_half_space
 from .empirical import (
     BranchContinuityError,
     affine_factorization_test,
@@ -36,6 +36,7 @@ from .empirical import (
     semihomogeneity_test,
 )
 from .flow import FlowIntegrationError, flow_source_for
+from .models import uniform_times
 from .movingframe import FramePipelineError, FrameRecursionError, frame_pipeline
 from .verify import (
     CheckReport,
@@ -131,12 +132,11 @@ def _resolve_u_points(cfg: RunConfig, dims: Dims, imaginary_only: bool = False,
             if u.shape != (dims.d,):
                 raise ConfigError(f"grid.u point {i} has {u.size} components, "
                                   f"model needs {dims.d}", path=cfg.source_path)
-            if dims.m and np.max(u.real[dims.I]) > 0:
-                raise ConfigError(f"grid.u point {i} has positive real part on a "
-                                  "cone component", path=cfg.source_path)
-            if dims.n and np.max(np.abs(u.real[dims.J])) > 0:
-                raise ConfigError(f"grid.u point {i} has nonzero real part on a "
-                                  "free component", path=cfg.source_path)
+            outside = np.flatnonzero(outside_half_space(u, dims))
+            if outside.size:
+                k = outside[0]
+                raise ConfigError(f"grid.u point {i} component {k} (real part {u[k].real:g}) "
+                                  "lies outside the admissible half-space", path=cfg.source_path)
             if imaginary_only and np.max(np.abs(u.real)) > 0:
                 raise ConfigError(f"grid.u point {i} must be purely imaginary for "
                                   "this command", path=cfg.source_path)
@@ -438,6 +438,10 @@ def cmd_frame(cfg: RunConfig, json_out: bool = False) -> int:
         raise ConfigError(f"model {cfg.model_name!r} carries no transform flow",
                           path=cfg.source_path)
     base_seed = cfg.require_seed("frame")
+    try:
+        uniform_times(cfg.frame.t, cfg.frame.internal_dt)
+    except ValueError as exc:
+        raise ConfigError(f"frame.t and frame.internal_dt: {exc}", path=cfg.source_path) from exc
     dims = model.dims
     u_set = _resolve_u_points(cfg, dims, imaginary_only=True, count=3)
     x0 = _resolve_x0(cfg, model)

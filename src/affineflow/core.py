@@ -19,6 +19,8 @@ __all__ = [
     "Region",
     "Tolerances",
     "classify_region",
+    "half_space_bounds",
+    "outside_half_space",
     "in_domain_interior",
     "as_point",
     "as_state",
@@ -101,6 +103,27 @@ def as_state(x, dims: Dims) -> np.ndarray:
     return arr
 
 
+def half_space_bounds(dims: Dims) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds ``(lo, hi)``, shape (d,), on the real parts of an admissible argument.
+
+    A cone component has real part at most ``REGION_EPS``; a free component
+    lies within ``REGION_EPS`` of 0.
+    """
+    lo = np.array([-np.inf] * dims.m + [-REGION_EPS] * dims.n)
+    return lo, np.array([REGION_EPS] * dims.d)
+
+
+def outside_half_space(u, dims: Dims) -> np.ndarray:
+    """Mask of the components of the ``(..., d)`` stack ``u`` outside the half-space.
+
+    A component is outside when its real part breaks :func:`half_space_bounds`;
+    a NaN real part is outside.
+    """
+    lo, hi = half_space_bounds(dims)
+    re = np.real(u)
+    return ~((re >= lo) & (re <= hi))
+
+
 def classify_region(u, dims: Dims) -> Region:
     """Classify a transform argument against the admissible half-space.
 
@@ -110,19 +133,13 @@ def classify_region(u, dims: Dims) -> Region:
     parts of the free components stay inside the tolerance band.
     """
     arr = as_point(u, dims)
-    eps = REGION_EPS
+    if outside_half_space(arr, dims).any():
+        return Region.OUTSIDE
     re = arr.real
-    re_I = re[dims.I]
-    re_J = re[dims.J]
-    free_ok = re_J.size == 0 or np.max(np.abs(re_J)) <= eps
-
-    if np.max(np.abs(re), initial=0.0) <= eps:
+    if np.max(np.abs(re)) <= REGION_EPS:
         return Region.PURE_IMAGINARY
-    if free_ok and (re_I.size == 0 or np.max(re_I) < -eps):
-        return Region.INTERIOR
-    if free_ok and re_I.size and np.max(re_I) <= eps and np.max(re_I) >= -eps:
-        return Region.BOUNDARY
-    return Region.OUTSIDE
+    # some cone component has real part below -REGION_EPS
+    return Region.INTERIOR if np.max(re[dims.I]) < -REGION_EPS else Region.BOUNDARY
 
 
 def in_domain_interior(u, dims: Dims) -> bool:

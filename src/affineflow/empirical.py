@@ -152,9 +152,10 @@ def recover_phi_psi(source, dims: Dims, t_grid, u, n_paths: int, seed: int) -> l
     the log-transform is affine in the start, the difference quotient
     recovers each fiber-map component without discretization bias, and the
     origin start gives the scalar factor directly.  The log phase is
-    unwrapped along the grid (which must begin at 0, where the transform is
-    known exactly); a post-unwrap jump above pi/2 means the grid is too
-    coarse to track the branch and raises :class:`BranchContinuityError`.
+    unwrapped along the grid, which must begin at 0, where the transform is
+    known exactly: each start's phase is anchored there at ``Im <u, x_start>``,
+    not at its principal value.  A post-unwrap jump above pi/2 means the grid
+    is too coarse to track the branch and raises :class:`BranchContinuityError`.
     Entries where the scalar factor is indistinguishable from zero (below
     five standard errors) are marked ``in_Q=False``.
     """
@@ -171,11 +172,14 @@ def recover_phi_psi(source, dims: Dims, t_grid, u, n_paths: int, seed: int) -> l
         values = src(x0, ts, n_paths, s)
         estimates.append([ecf_from_states(values[:, i, :], u_arr, t) for i, t in enumerate(ts)])
 
-    def _log_track(series):
+    def _log_track(series, x0):
         vals = np.array([e.value for e in series])
         if np.any(vals == 0):
             raise BranchContinuityError("empirical transform hit zero; cannot take its log")
         phases = np.unwrap(np.angle(vals))
+        turns = round((float(np.imag(u_arr @ x0)) - phases[0]) / (2 * math.pi))
+        if turns:  # shifting by zero could flip the sign of a zero phase
+            phases = phases + 2 * math.pi * turns
         jumps = np.abs(np.diff(phases))
         if jumps.size and np.max(jumps) > 0.5 * math.pi:
             raise BranchContinuityError(
@@ -183,7 +187,7 @@ def recover_phi_psi(source, dims: Dims, t_grid, u, n_paths: int, seed: int) -> l
             )
         return np.log(np.abs(vals)) + 1j * phases
 
-    logs = [_log_track(series) for series in estimates]
+    logs = [_log_track(series, x0) for series, x0 in zip(estimates, starts)]
     out = []
     for i, t in enumerate(ts):
         g0 = estimates[0][i]

@@ -11,7 +11,8 @@ free.  The stepper is an embedded Dormand-Prince 5(4) pair with PI step-size
 control over a lane axis: every transform argument of a call is one lane of a
 single solve on complex states, all lanes share the step sequence, land
 exactly on every requested checkpoint, and leave the active set on their own
-when they exit the admissible half-space or fail.
+when they exit the admissible half-space; a lane that fails numerically
+fails the call.
 
 Consumers read flows through a flow source, an object whose one method
 ``on_grid(t_grid, u_list)`` returns the evaluations row-major in t:
@@ -27,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Q_ZERO_EPS, REGION_EPS, Dims, Region, Tolerances, as_point, classify_region
+from .core import Q_ZERO_EPS, Dims, Tolerances, as_point, half_space_bounds, outside_half_space
 
 __all__ = [
     "FlowEvaluation",
@@ -99,7 +100,7 @@ _DP_ERR = _DP_B5 - np.array(
     dtype=np.complex128,
 )
 
-_MAX_STEPS = 200_000  # step attempts per _dp45 call before every active lane fails
+_MAX_STEPS = 200_000  # step attempts per _dp45 call before the call fails
 
 
 def _dp45(rhs, y0, checkpoints, rtol, atol, guard):
@@ -112,17 +113,16 @@ def _dp45(rhs, y0, checkpoints, rtol, atol, guard):
     matmul.  ``rhs(s, y, out)`` writes the derivatives of the (k, n) states
     ``y`` into ``out``; ``guard(s, y)`` takes the (k, n) states after an
     accepted step and returns ``None`` or the (k,) mask of lanes that left
-    the domain.
+    the domain; an exited lane never holds up the others.
 
-    Returns ``(records, errors)``: ``records`` is (len(checkpoints), L, n),
-    NaN where a lane did not reach a checkpoint (it exited or failed before);
-    ``errors[j]`` is ``None`` or the :class:`FlowIntegrationError` that failed
-    lane j alone (a non-finite derivative, or the worst lane when the step
-    underflows).  Lanes that are out never hold up the others.
+    Returns ``records``, (len(checkpoints), L, n), NaN where a lane exited
+    before a checkpoint.  A failed lane fails the call: a non-finite
+    derivative, a step underflow, an exhausted step budget or a generator
+    output of the wrong shape raises :class:`FlowIntegrationError` naming the
+    lane's u index, its index in ``y0``.
     """
     n_lanes, n = y0.shape
     records = np.full((len(checkpoints), n_lanes, n), np.nan, dtype=np.complex128)
-    errors: list = [None] * n_lanes
     lanes = np.arange(n_lanes)  # original index of each active lane
     y = y0.reshape(-1)
     f = np.empty_like(y)
@@ -134,60 +134,50 @@ def _dp45(rhs, y0, checkpoints, rtol, atol, guard):
     while ti < len(targets) and targets[ti] <= s:
         records[ti] = y0
         ti += 1
-    if ti == len(targets):
-        return records, errors
+    if ti == len(targets) or not n_lanes:
+        return records
+    lane_sq = None  # per-lane squared scaled error of the last attempted step
 
-    def drop(out, exc=None):
-        """Take the active lanes flagged in ``out`` out: exited, or failed with ``exc``."""
-        nonlocal lanes, y, f, k
-        if exc is not None:
-            for j in lanes[out]:
-                errors[j] = exc
+    def drop(out):
+        """Take the active lanes flagged in ``out`` (they exited) out of the solve."""
+        nonlocal lanes, y, f, k, lane_sq
         keep = ~out
-        lanes = lanes[keep]
+        lanes, lane_sq = lanes[keep], lane_sq[keep]
         y = y.reshape(-1, n)[keep].ravel()
         f = f.reshape(-1, n)[keep].ravel()
         k = np.empty((7, y.size), dtype=np.complex128)
 
-    rhs(s, y.reshape(-1, n), f.reshape(-1, n))
+    def fail(message, bad=None):
+        """Raise for active lane ``bad``, by default the one whose error sized the last step."""
+        if bad is None:
+            bad = 0 if lane_sq is None else int(np.argmax(lane_sq))
+        raise FlowIntegrationError(f"u index {lanes[bad]}: {message}", s) from None
+
+    try:
+        rhs(s, y.reshape(-1, n), f.reshape(-1, n))
+    except FlowIntegrationError as exc:  # a wrong output shape fails every lane
+        fail(str(exc), 0)
     if not np.isfinite(f).all():
-        drop(~np.isfinite(f).reshape(-1, n).all(axis=1),
-             FlowIntegrationError("generator returned a non-finite value", s))
+        fail("generator returned a non-finite value", int(np.argmin(np.isfinite(f))) // n)
     h = _initial_step(y, f, n, rtol, atol, t_end)
     err_prev = 1.0
-    lane_sq = None  # per-lane squared scaled error of the last attempted step
     for _ in range(_MAX_STEPS):
-        if not lanes.size:
-            return records, errors
-        clipped = False
-        if s + h >= targets[ti] - 1e-14 * max(1.0, targets[ti]):
-            h_step = targets[ti] - s
-            clipped = True
-        else:
-            h_step = h
+        clipped = s + h >= targets[ti] - 1e-14 * max(1.0, targets[ti])
+        h_step = targets[ti] - s if clipped else h
         if h_step <= 1e-14 * max(1.0, s):
-            # The lane whose error drove the step down fails; the others
-            # restart from a fresh step proposal.
-            bad = (np.ones(lanes.size, dtype=bool) if lane_sq is None
-                   else np.arange(lanes.size) == np.argmax(lane_sq))
-            drop(bad, FlowIntegrationError(
-                "step size underflow: system too stiff for the error contract", s))
-            h = _initial_step(y, f, n, rtol, atol, t_end - s)
-            err_prev, lane_sq = 1.0, None
-            continue
+            fail("step size underflow: system too stiff for the error contract")
 
         hc = np.array(complex(h_step))
         k[0] = f
-        for i in range(1, 7):
-            rhs(s + _DP_C[i] * h_step, (y + hc * (_DP_A_ROWS[i] @ k[:i])).reshape(-1, n),
-                k[i].reshape(-1, n))
-        finite = np.isfinite(k)
-        if not finite.all():
-            # Fail the lanes with a non-finite derivative and retry the step without them.
-            drop(~finite.reshape(7, -1, n).all(axis=(0, 2)),
-                 FlowIntegrationError("generator returned a non-finite value", s))
-            lane_sq = None
-            continue
+        try:
+            for i in range(1, 7):
+                rhs(s + _DP_C[i] * h_step, (y + hc * (_DP_A_ROWS[i] @ k[:i])).reshape(-1, n),
+                    k[i].reshape(-1, n))
+        except FlowIntegrationError as exc:
+            fail(str(exc), 0)
+        if not np.isfinite(k).all():
+            fail("generator returned a non-finite value",
+                 int(np.argmin(np.isfinite(k).all(axis=0))) // n)
         y_new = y + hc * (_DP_B5 @ k)
         sc = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
         lane_sq = ((np.abs(hc * (_DP_ERR @ k)) / sc) ** 2).reshape(-1, n).sum(axis=1)
@@ -200,12 +190,13 @@ def _dp45(rhs, y0, checkpoints, rtol, atol, guard):
             exited = guard(s, y.reshape(-1, n))
             if exited is not None:
                 drop(exited)
-                lane_sq = None
+                if not lanes.size:
+                    return records
             while ti < len(targets) and s >= targets[ti] - 1e-14 * max(1.0, targets[ti]):
                 records[ti, lanes] = y.reshape(-1, n)
                 ti += 1
             if ti >= len(targets):
-                return records, errors
+                return records
             if clipped:
                 # A step shortened to land on a checkpoint reports an
                 # artificially tiny error; feeding it to the controller would
@@ -218,9 +209,7 @@ def _dp45(rhs, y0, checkpoints, rtol, atol, guard):
             h = h_step * min(5.0, max(0.2, fac))
         else:
             h = h_step * max(0.2, 0.9 * err ** -0.2)
-    drop(np.ones(lanes.size, dtype=bool),
-         FlowIntegrationError("integration exceeded the step budget", s))
-    return records, errors
+    fail("integration exceeded the step budget")
 
 
 def _initial_step(y, f, n, rtol, atol, span):
@@ -260,11 +249,11 @@ def _make_rhs(gen, dims: Dims):
 
 def _make_guard(dims: Dims):
     """Mask of the lanes whose scalar factor vanished or whose psi left the half-space."""
-    # Bounds on the real parts of (psi, log phi): cone components at most
-    # REGION_EPS, free components within REGION_EPS of 0, log phi above the
-    # vanishing floor.
-    hi = np.array([REGION_EPS] * dims.d + [np.inf])
-    lo = np.array([-np.inf] * dims.m + [-REGION_EPS] * dims.n + [math.log(Q_ZERO_EPS)])
+    # Bounds on the real parts of (psi, log phi): the half-space's on psi,
+    # log phi above the vanishing floor.
+    lo, hi = half_space_bounds(dims)
+    lo = np.concatenate((lo, [math.log(Q_ZERO_EPS)]))
+    hi = np.concatenate((hi, [np.inf]))
 
     def guard(s, y):
         re = y.real
@@ -277,14 +266,13 @@ def _make_guard(dims: Dims):
 def _flow_lanes(gen, dims: Dims, points: list, times: list, tol: Tolerances):
     """Integrate the L arguments ``points`` through the ascending, nonnegative ``times``.
 
-    Returns :func:`_dp45`'s ``(records, errors)``; a record holds psi followed
-    by log phi.
+    Returns :func:`_dp45`'s ``records``; a record holds psi followed by log phi.
     """
     y0 = np.zeros((len(points), dims.d + 1), dtype=np.complex128)
     if points:  # an empty list does not broadcast into the (0, d) block
         y0[:, : dims.d] = points
-    # A lane that goes non-finite is failed and reported on its own, so
-    # numpy's warnings about its values would only repeat that.
+    # A lane that goes non-finite fails the call with its u index, so numpy's
+    # warnings about its values would only repeat that.
     with np.errstate(invalid="ignore", over="ignore"):
         return _dp45(_make_rhs(gen, dims), y0, times, tol.ode_rel, tol.ode_abs,
                      _make_guard(dims))
@@ -305,9 +293,9 @@ def ode_flow(gen, dims: Dims, t: float, u, tol: Tolerances = Tolerances()) -> Fl
     """Evaluate the transform pair at a single (t, u) by Riccati integration.
 
     The one-cell case of :func:`flow_on_grid`, read through
-    :meth:`OdeFlowSource.on_grid`: the same validation, a hard integration
-    error raises :class:`FlowIntegrationError`, and a domain exit before t is
-    the evaluation at t with ``in_Q=False``.
+    :meth:`OdeFlowSource.on_grid`: the same validation, a numerical failure
+    raises :class:`FlowIntegrationError`, and a domain exit before t is the
+    evaluation at t with ``in_Q=False``.
     """
     return OdeFlowSource(gen, dims, tol).on_grid([t], [u])[0][0]
 
@@ -316,10 +304,9 @@ def ode_flow(gen, dims: Dims, t: float, u, tol: Tolerances = Tolerances()) -> Fl
 class FlowGrid:
     """Dense flow evaluations on a (t, u) product grid, row-major in t.
 
-    ``evals[i][j]`` is the evaluation at ``(t_grid[i], u_grid[j])`` or ``None``
-    when that column failed with a hard integration error; failures are listed
-    in ``errors`` as ``(t_index, u_index, message)`` without touching other
-    columns.
+    ``evals[i][j]`` is the evaluation at ``(t_grid[i], u_grid[j])``.  A failed
+    lane fails the whole call, so ``errors`` is always empty; it stays because
+    the benchmark tracer reads it.
     """
 
     t_grid: np.ndarray
@@ -335,10 +322,10 @@ def flow_on_grid(gen, dims: Dims, t_grid, u_grid, tol: Tolerances = Tolerances()
     """Evaluate the flow on a product grid in one integration over all u columns.
 
     Every u column is a lane of one Dormand-Prince solve through the sorted
-    t checkpoints; a column that exits the domain or fails goes out of the
-    active set without holding up the others; its cells from the exit on are
-    ``in_Q=False`` at their own t.  Results agree with one-column calls to
-    within the integration tolerance.
+    t checkpoints.  A column that exits the domain drops out without holding
+    up the others; its cells from the exit on are ``in_Q=False`` at their own
+    t.  A failed column fails the call (:class:`FlowIntegrationError` naming
+    its u index).  Results agree with one-column calls within tolerance.
     """
     ts = np.asarray(t_grid, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
@@ -348,23 +335,15 @@ def flow_on_grid(gen, dims: Dims, t_grid, u_grid, tol: Tolerances = Tolerances()
     if times[0] < 0 or any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError("t_grid must be strictly increasing and nonnegative")
     points = [as_point(u, dims) for u in u_grid]
-    for j, u_arr in enumerate(points):
-        if classify_region(u_arr, dims) is Region.OUTSIDE:
-            raise ValueError(f"u_grid[{j}] lies outside the admissible half-space")
+    outside = outside_half_space(np.array(points).reshape(-1, dims.d), dims)
+    if outside.any():
+        j, c = np.argwhere(outside)[0]
+        raise ValueError(f"u_grid[{j}] lies outside the admissible half-space (component {c})")
 
-    try:
-        states, lane_errors = _flow_lanes(gen, dims, points, times, tol)
-    except FlowIntegrationError as exc:  # a malformed generator fails every column
-        states, lane_errors = None, [exc] * len(points)
-    rows = [[None] * len(points) for _ in times]
-    errors: list[tuple[int, int, str]] = []
-    for j, u_arr in enumerate(points):
-        if lane_errors[j] is not None:
-            errors.extend((i, j, str(lane_errors[j])) for i in range(len(times)))
-            continue
-        for i, t in enumerate(times):
-            rows[i][j] = _evaluation(t, u_arr, states[i, j], dims)
-    return FlowGrid(ts, points, rows, errors)
+    states = _flow_lanes(gen, dims, points, times, tol)
+    rows = [[_evaluation(t, u_arr, states[i, j], dims) for j, u_arr in enumerate(points)]
+            for i, t in enumerate(times)]
+    return FlowGrid(ts, points, rows)
 
 
 # Padé [13/13] coefficients b_0..b_13 and the largest 1-norm at which the
@@ -425,11 +404,7 @@ class OdeFlowSource:
         self.tol = tol
 
     def on_grid(self, t_grid, u_list) -> list:
-        grid = flow_on_grid(self.gen, self.dims, t_grid, u_list, self.tol)
-        if grid.errors:
-            i, j, msg = grid.errors[0]
-            raise FlowIntegrationError(f"grid cell (t={grid.t_grid[i]}, u index {j}) failed: {msg}")
-        return grid.evals
+        return flow_on_grid(self.gen, self.dims, t_grid, u_list, self.tol).evals
 
 
 class ClosedFlowSource:

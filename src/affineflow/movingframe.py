@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import REGION_EPS, Dims, Tolerances, as_point
+from .core import REGION_EPS, Dims, Tolerances, as_point, outside_half_space
 from .flow import FlowIntegrationError, OdeFlowSource, flow_source_for, matrix_exp
 from .models import AffineModel, GeneratorPair, _sub_seeds, sample_grid, uniform_times
 from .verify import CheckReport, _scored_report, _z_score, extract_beta
@@ -180,14 +180,12 @@ def pq_recursion(source, frame: FrameMatrix, t: float, u, N: int) -> PQState:
         raise ValueError("t must be positive")
     h = t / N
     shrink_rows = (np.eye(dims.d) - h * frame.K).T  # q @ shrink_rows is (id - hK) q per lane
-    free = np.arange(dims.d) >= dims.m  # cone components need Re <= eps, free ones |Re| <= eps
 
     p = np.ones(len(u_arr), dtype=np.complex128)
     q = u_arr.copy()
     for k in range(N - 1):
         v = q @ shrink_rows
-        re = v.real
-        outside = ~(np.where(free, np.abs(re), re) <= REGION_EPS)
+        outside = outside_half_space(v, dims)
         if outside.any():
             lane, bad = np.argwhere(outside)[0]
             raise FrameRecursionError(

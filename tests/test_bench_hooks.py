@@ -102,12 +102,19 @@ def test_flow_on_grid_hook_reads_u_grid_evals_and_errors(tracer):
         return np.where(u0.imag > 0.5, np.nan, np.where(u0.real < -1.5, -1200.0, -1.0)) + 0j
 
     gen = models.GeneratorPair(F=F, R=lambda u: np.zeros(np.shape(u), dtype=np.complex128))
-    args = (gen, Dims(1, 0), [0.0, 1.0], [np.array([-1.0]), np.array([-2.0]), np.array([-1.0 + 1j])])
+    args = (gen, Dims(1, 0), [0.0, 1.0], [np.array([-1.0]), np.array([-2.0])])
     grid = flow.flow_on_grid(*args)
     t = tracer.Tracer()
     with t.operation("op"):
         assert t._after_flow_on_grid(args, {}, grid) is grid
-    assert (t.counters["flow.solves"], t.counters["flow.exits"], t.counters["flow.errors"]) == (3, 1, 1)
+    assert (t.counters["flow.solves"], t.counters["flow.exits"], t.counters["flow.errors"]) == (2, 1, 0)
+
+    # a failed lane fails the call, and the flow span counts the error it raises
+    t._flow_error = flow.FlowIntegrationError  # what install() sets, without wrapping the package
+    traced = t.wrap(flow.flow_on_grid, "flow.flow_on_grid", "flow", t._after_flow_on_grid)
+    with t.operation("op"), pytest.raises(flow.FlowIntegrationError, match="u index 2"):
+        traced(gen, Dims(1, 0), [0.0, 1.0], args[3] + [np.array([-1.0 + 1j])])
+    assert t.counters["flow.errors"] == 1 and t.counters["flow.solves"] == 2
 
 
 # ---------------------------------------------------------------------------

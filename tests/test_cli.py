@@ -140,6 +140,20 @@ def test_u_point_with_wrong_dimension(tmp_path, capsys):
     assert "components" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("point, component", [("(0.3)", 0), ("(1e-13+0.5j)", None)])
+def test_u_point_outside_the_half_space_names_the_component(tmp_path, capsys, point, component):
+    """A positive cone real part is a config error; one inside the REGION_EPS band is not."""
+    cfg = write_cfg(tmp_path, CIR_FAST.replace("grid.u = (-1.0), (-0.5+0.4j)",
+                                               f"grid.u = (-1.0), {point}"))
+    code = main(["flow", "--config", cfg, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    if component is None:
+        assert code == EXIT_PASS, err
+    else:
+        assert code == EXIT_USAGE
+        assert f"grid.u point 1 component {component} (real part 0.3) lies outside" in err
+
+
 def test_unknown_check_name_lists_known_ones(tmp_path, capsys):
     cfg = write_cfg(tmp_path, CIR_FAST)
     code = main(["verify", "--config", cfg, "--checks", "semiflow,warp",
@@ -390,15 +404,15 @@ def test_paths_csv_matches_csv_writer(tmp_path):
     assert got.read_bytes() == ref.read_bytes()
 
 
-def test_frame_with_impossible_grid_is_numerical_failure(tmp_path, capsys):
-    # 0.5 is not a multiple of 3e-4, so the transform-grid stage must fail
+def test_frame_with_off_grid_internal_dt_is_config_error(tmp_path, capsys):
+    # 0.5 is not a multiple of 3e-4: a config mistake, caught before the pipeline runs
     cfg = write_cfg(tmp_path, FRAME_CFG.replace(
-        "frame.internal_dt = 2e-3", "frame.internal_dt = 3e-4").replace(
-        "frame.n_schedule = 32, 64, 128", "frame.n_schedule = 16, 32").replace(
-        "sim.paths = 3000", "sim.paths = 500"))
+        "frame.internal_dt = 2e-3", "frame.internal_dt = 3e-4"))
     code = main(["frame", "--config", cfg, "--out", str(tmp_path / "out")])
-    assert code == EXIT_NUMERICAL
-    assert "numerical failure:" in capsys.readouterr().err
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "not a multiple of grid_step 0.0003" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_programming_error_in_a_check_is_not_a_numerical_failure(tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affineflow.core import (
+    REGION_EPS,
     Dims,
     Region,
     Tolerances,
@@ -13,6 +14,7 @@ from affineflow.core import (
     as_state,
     classify_region,
     in_domain_interior,
+    outside_half_space,
 )
 
 D21 = Dims(2, 1)
@@ -99,3 +101,26 @@ def test_classification_consistency(u):
     assert region is not Region.OUTSIDE
     if in_domain_interior(u, D21):
         assert region in (Region.INTERIOR,)
+
+
+# real parts on both sides of every bound of the half-space, plus NaN and the infinities
+real_part = st.sampled_from([0.0, -0.0, REGION_EPS, -REGION_EPS, 2 * REGION_EPS,
+                             -2 * REGION_EPS, 1e-13, -1e-13, 0.5, -0.5, np.inf, -np.inf, np.nan])
+
+
+@given(st.integers(0, 3), st.integers(0, 3), st.integers(1, 6), st.data())
+@settings(max_examples=150, deadline=None)
+def test_outside_half_space_agrees_with_classify_region(m, n, rows, data):
+    """The vectorised mask flags the rows that classify_region calls OUTSIDE, per component."""
+    if m + n == 0:
+        n = 1
+    dims = Dims(m, n)
+    re = np.array(data.draw(st.lists(real_part, min_size=rows * dims.d, max_size=rows * dims.d)))
+    stack = (re + 1j).reshape(rows, dims.d)
+    mask = outside_half_space(stack, dims)
+    assert mask.shape == stack.shape
+    for row, flags in zip(stack, mask):
+        cone, free = row.real[dims.I], row.real[dims.J]
+        expected = np.concatenate([~(cone <= REGION_EPS), ~(np.abs(free) <= REGION_EPS)])
+        assert np.array_equal(flags, expected)
+        assert (classify_region(row, dims) is Region.OUTSIDE) == flags.any()

@@ -114,6 +114,20 @@ def test_recover_phi_psi_branch_tracking_error():
                         n_paths=16, seed=0)
 
 
+def test_recover_phi_psi_anchors_each_phase_at_its_start(levy):
+    """With |Im u_k| > pi each start's phase begins at Im <u, x_start>, not its principal value."""
+
+    def still(x0, times, n_paths, seed):
+        return np.broadcast_to(x0, (n_paths, len(times), len(x0))).copy()
+
+    u = np.array([4j, 0.5j])
+    exact = recover_phi_psi(still, Dims(0, 2), [0.0, 0.5], u, n_paths=8, seed=0)[-1]
+    assert np.allclose(exact.psi, u, rtol=0, atol=1e-12) and abs(exact.log_phi) == 0
+    # levy's fiber map is the identity: psi_1 was 4j - 2 pi i before the anchor
+    ev = recover_phi_psi(levy, levy.dims, [0.0, 0.1], u, n_paths=2000, seed=3)[-1]
+    assert all(abs(ev.psi - u) < 5.0 * ev.psi_stderr), (ev.psi, ev.psi_stderr)
+
+
 def test_semihomogeneity_pass_and_fail(heston0):
     u = np.array([-0.5 + 0j, 0.8j])
     passing = semihomogeneity_test(heston0, heston0.dims, 0.5, u, n_paths=4000, seed=12)

@@ -155,26 +155,26 @@ def test_flow_on_grid_validation(cir):
         flow_on_grid(cir.gen, cir.dims, [0.0, 0.5], [np.array([0.2])])
 
 
-def test_flow_on_grid_hard_error_stays_in_column():
-    """A generator that goes non-finite on one column must not poison the others."""
+def test_flow_on_grid_hard_error_fails_the_call_naming_the_column():
+    """A generator that goes non-finite on one column fails the call and names that column."""
 
     def F(u):
         return np.where(u[..., 0].imag > 0.5, np.nan, -1.0) + 0j
 
     gen = GeneratorPair(F=F, R=lambda u: np.zeros(1, dtype=np.complex128))
     us = [np.array([-1.0 + 0j]), np.array([-1.0 + 1j])]
-    grid = flow_on_grid(gen, Dims(1, 0), [0.0, 0.5, 1.0], us)
-    assert grid.errors and all(j == 1 for (_, j, _) in grid.errors)
-    assert all("non-finite" in msg for (_, _, msg) in grid.errors)
-    assert all(row[1] is None for row in grid.evals)
+    with pytest.raises(FlowIntegrationError, match=r"^u index 1: generator returned a non-finite"):
+        flow_on_grid(gen, Dims(1, 0), [0.0, 0.5, 1.0], us)
+    grid = flow_on_grid(gen, Dims(1, 0), [0.0, 0.5, 1.0], us[:1])
+    assert not grid.errors
     good = grid.column(0)
-    assert all(ev is not None and ev.in_Q for ev in good)
+    assert all(ev.in_Q for ev in good)
     assert abs(good[2].phi - np.exp(-1.0)) < 1e-9
 
 
 def test_rhs_validates_generator_shape():
     gen = GeneratorPair(F=lambda u: 0j, R=lambda u: np.zeros(2, dtype=np.complex128))
-    with pytest.raises(FlowIntegrationError, match="shape"):
+    with pytest.raises(FlowIntegrationError, match=r"^u index 0: .*shape"):
         ode_flow(gen, Dims(1, 0), 1.0, [-1.0])
 
 
@@ -292,37 +292,39 @@ def _tagged_gen():
     return GeneratorPair(F=F, R=lambda u: -0.5 * u)
 
 
-def test_mixed_lane_batch_isolates_exits_and_failures():
+def test_mixed_lane_batch_isolates_exits_and_fails_on_a_failed_lane():
     gen, dims = _tagged_gen(), Dims(1, 0)
     times = [0.0, 0.25, 0.5, 1.0, 1.5, 2.0]
     us = [np.array([-1.0 + 0.5j]), np.array([-0.5 - 20j]), np.array([-0.3 - 1.5j]),
           np.array([-0.5 + 20j]), np.array([-2.0 + 0j])]
+    # the non-finite lane fails the call, after the exiting lane has left it
+    with pytest.raises(FlowIntegrationError, match=r"^u index 3: generator returned a non-finite"):
+        flow_on_grid(gen, dims, times, us, _TIGHT)
+    del us[3]
     grid = flow_on_grid(gen, dims, times, us, _TIGHT)
-    # the non-finite lane fails alone, in every row of its column
-    assert sorted((i, j) for i, j, _ in grid.errors) == [(i, 3) for i in range(len(times))]
-    assert all("non-finite" in msg for *_, msg in grid.errors)
-    assert all(row[3] is None for row in grid.evals)
+    assert not grid.errors
     # the exiting lane answers in_Q=False from its exit on
     assert [ev.in_Q for ev in grid.column(1)] == [True, True, True, False, False, False]
     assert np.isnan(grid.column(1)[-1].phi.real)
     # every ordinary lane matches its own one-lane solve
-    for j in (0, 2, 4):
+    for j in (0, 2, 3):
         alone = flow_on_grid(gen, dims, times, [us[j]], _TIGHT)
-        assert not alone.errors
         for ev, ref in zip(grid.column(j), alone.column(0)):
             assert ev.in_Q and _gap(ev, ref) < 1e-10
 
 
-def test_step_underflow_fails_only_the_lane_that_forces_it():
+def test_step_underflow_fails_the_call_naming_the_lane_that_forces_it():
     """psi' = i psi^2 on a free component: u = -i blows up at t = 1, u = 0.5i does not."""
     gen = GeneratorPair(F=lambda u: 0.2 * u[..., 0], R=lambda u: 1j * u * u)
     dims = Dims(0, 1)
     us = [np.array([0.5j]), np.array([-1j]), np.array([0.25j])]
     times = [0.5, 1.5, 2.0]
+    with pytest.raises(FlowIntegrationError, match=r"^u index 1: step size underflow") as info:
+        flow_on_grid(gen, dims, times, us, _TIGHT)
+    assert 0.99 < info.value.s < 1.0  # the blow-up at t = 1
+    del us[1]
     grid = flow_on_grid(gen, dims, times, us, _TIGHT)
-    assert {j for _, j, _ in grid.errors} == {1}
-    assert all("underflow" in msg for *_, msg in grid.errors)
-    for j in (0, 2):
+    for j in (0, 1):
         y0 = us[j][0].imag
         for ev in grid.column(j):
             assert ev.in_Q and abs(ev.psi[0] - 1j * y0 / (1 + y0 * ev.t)) < 1e-9
@@ -331,9 +333,9 @@ def test_step_underflow_fails_only_the_lane_that_forces_it():
 
 
 def test_step_budget_exhaustion_is_an_integration_error(cir, monkeypatch):
-    """A solve that runs out of step attempts fails every lane it still carries."""
+    """A solve that runs out of step attempts fails the call, naming the lane that sized them."""
     monkeypatch.setattr(flow_module, "_MAX_STEPS", 5)
-    with pytest.raises(FlowIntegrationError, match="step budget"):
+    with pytest.raises(FlowIntegrationError, match=r"^u index 0: integration exceeded the step"):
         OdeFlowSource(cir.gen, cir.dims, _TIGHT).on_grid([2.0], [np.array([-1.0 + 0.5j])])
 
 
