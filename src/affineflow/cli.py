@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig, load_config
-from .core import Dims, as_state, outside_half_space
+from .core import REGION_EPS, Dims, as_state, outside_half_space
 from .empirical import (
     BranchContinuityError,
     affine_factorization_test,
@@ -137,7 +137,7 @@ def _resolve_u_points(cfg: RunConfig, dims: Dims, imaginary_only: bool = False,
                 k = outside[0]
                 raise ConfigError(f"grid.u point {i} component {k} (real part {u[k].real:g}) "
                                   "lies outside the admissible half-space", path=cfg.source_path)
-            if imaginary_only and np.max(np.abs(u.real)) > 0:
+            if imaginary_only and np.max(np.abs(u.real)) > REGION_EPS:
                 raise ConfigError(f"grid.u point {i} must be purely imaginary for "
                                   "this command", path=cfg.source_path)
             pts.append(u)
@@ -314,9 +314,9 @@ def _chk_recover(cfg, model, source, seed):
     ts = _positive_times(cfg)[:2]
     rng = np.random.default_rng(seed)
     u = sample_imaginary_points(dims, 1, rng)[0]
-    evals = recover_phi_psi(model, dims, [0.0] + ts, u, cfg.sim.n_paths, seed)
+    rows = recover_phi_psi(model, dims, ts, [u], cfg.sim.n_paths, seed)
     scored = []
-    for ev in evals[1:]:
+    for (ev,) in rows:
         ref = source.on_grid([ev.t], [u])[0][0]
         z_phi = _z_score(abs(ev.phi - ref.phi), ev.phi_stderr)
         z_psi = max(_z_score(abs(ev.psi[k] - ref.psi[k]), ev.psi_stderr[k])
@@ -345,8 +345,8 @@ def _chk_feller(cfg, model, source, seed):
         return CheckReport("feller_decay", "needs exactly one free component and a "
                            "known free drift (vacuous)", 0.0, 0.0, [])
     x0 = _resolve_x0(cfg, model)
-    t = max(t for t in _positive_times(cfg) if t <= 1.0) if any(
-        t <= 1.0 for t in _positive_times(cfg)) else _positive_times(cfg)[0]
+    ts = _positive_times(cfg)
+    t = max((t for t in ts if t <= 1.0), default=ts[0])
     tf = TestFunction(u_I=np.full(dims.m, -1.0))
     radii = np.linspace(0.0, 40.0, 30)
     rays = []

@@ -28,6 +28,7 @@ __all__ = [
     "endpoint_states",
     "affine_factorization_test",
     "recover_phi_psi",
+    "SampledFlowSource",
     "semihomogeneity_test",
 ]
 
@@ -145,65 +146,88 @@ def affine_factorization_test(source, dims: Dims, t: float, u_list, x_base, x_pr
                           threshold, scored)
 
 
-def recover_phi_psi(source, dims: Dims, t_grid, u, n_paths: int, seed: int) -> list[FlowEvaluation]:
-    """Recover the transform pair on a time grid from simulated samples.
+def _log_track(series, u_arr, x0) -> np.ndarray:
+    """Branch-continuous log of one start's transform estimates along the grid from t = 0."""
+    vals = np.array([e.value for e in series])
+    if np.any(vals == 0):
+        raise BranchContinuityError("empirical transform hit zero; cannot take its log")
+    phases = np.unwrap(np.angle(vals))
+    turns = round((float(np.imag(u_arr @ x0)) - phases[0]) / (2 * math.pi))
+    if turns:  # shifting by zero could flip the sign of a zero phase
+        phases = phases + 2 * math.pi * turns
+    jumps = np.abs(np.diff(phases))
+    if jumps.size and np.max(jumps) > 0.5 * math.pi:
+        raise BranchContinuityError(
+            f"phase jump of {np.max(jumps):.3f} rad between grid times; refine the grid"
+        )
+    return np.log(np.abs(vals)) + 1j * phases
 
-    Starts paths at the origin and at each coordinate unit vector; because
-    the log-transform is affine in the start, the difference quotient
-    recovers each fiber-map component without discretization bias, and the
-    origin start gives the scalar factor directly.  The log phase is
-    unwrapped along the grid, which must begin at 0, where the transform is
-    known exactly: each start's phase is anchored there at ``Im <u, x_start>``,
-    not at its principal value.  A post-unwrap jump above pi/2 means the grid
-    is too coarse to track the branch and raises :class:`BranchContinuityError`.
-    Entries where the scalar factor is indistinguishable from zero (below
-    five standard errors) are marked ``in_Q=False``.
+
+def recover_phi_psi(source, dims: Dims, t_grid, u_list, n_paths: int, seed: int) -> list:
+    """Recover the transform pair on a (t, u) grid from simulated samples, row-major in t.
+
+    Starts paths at the origin and at each coordinate unit vector, each
+    start's paths drawn once for every t and u; because the log-transform is
+    affine in the start, the difference quotient recovers each fiber-map
+    component without discretization bias, and the origin start gives the
+    scalar factor directly.  The log phase is unwrapped along the grid from
+    t = 0, where the transform is known exactly: each start's phase is
+    anchored there at ``Im <u, x_start>``, not at its principal value.  A
+    grid without a leading 0 is drawn with one and its 0 row is dropped.  A
+    post-unwrap jump above pi/2 means the grid is too coarse to track the
+    branch and raises :class:`BranchContinuityError`.  Entries where the
+    scalar factor is indistinguishable from zero (below five standard errors)
+    are marked ``in_Q=False``.
     """
     src = _as_state_source(source)
-    u_arr = np.asarray(u, dtype=np.complex128)
     ts = np.asarray(t_grid, dtype=float)
-    if ts.ndim != 1 or ts.size < 1 or ts[0] != 0.0 or np.any(np.diff(ts) <= 0):
-        raise ValueError("t_grid must be increasing and start at 0 to anchor the branch")
+    if ts.ndim != 1 or ts.size < 1 or ts[0] < 0.0 or np.any(np.diff(ts) <= 0):
+        raise ValueError("t_grid must be strictly increasing and nonnegative")
+    anchored = ts[0] == 0.0
+    if not anchored:
+        ts = np.concatenate(([0.0], ts))
 
     starts = [np.zeros(dims.d), *np.eye(dims.d)]
     seeds = _sub_seeds(seed, len(starts))
-    estimates = []  # [start][time] -> EcfEstimate
+    u_arrs = [np.asarray(u, dtype=np.complex128) for u in u_list]
+    by_u = [[] for _ in u_arrs]  # [u][start][time] -> EcfEstimate
     for x0, s in zip(starts, seeds):
         values = src(x0, ts, n_paths, s)
-        estimates.append([ecf_from_states(values[:, i, :], u_arr, t) for i, t in enumerate(ts)])
+        for estimates, u_arr in zip(by_u, u_arrs):
+            estimates.append([ecf_from_states(values[:, i, :], u_arr, t) for i, t in enumerate(ts)])
 
-    def _log_track(series, x0):
-        vals = np.array([e.value for e in series])
-        if np.any(vals == 0):
-            raise BranchContinuityError("empirical transform hit zero; cannot take its log")
-        phases = np.unwrap(np.angle(vals))
-        turns = round((float(np.imag(u_arr @ x0)) - phases[0]) / (2 * math.pi))
-        if turns:  # shifting by zero could flip the sign of a zero phase
-            phases = phases + 2 * math.pi * turns
-        jumps = np.abs(np.diff(phases))
-        if jumps.size and np.max(jumps) > 0.5 * math.pi:
-            raise BranchContinuityError(
-                f"phase jump of {np.max(jumps):.3f} rad between grid times; refine the grid"
-            )
-        return np.log(np.abs(vals)) + 1j * phases
+    rows = [[] for _ in ts]
+    for u_arr, estimates in zip(u_arrs, by_u):
+        logs = [_log_track(series, u_arr, x0) for series, x0 in zip(estimates, starts)]
+        for i, t in enumerate(ts):
+            g0 = estimates[0][i]
+            log_phi = complex(logs[0][i])
+            psi = np.array([logs[1 + k][i] - logs[0][i] for k in range(dims.d)])
+            rel = [series[i].stderr / abs(series[i].value) for series in estimates]
+            psi_stderr = np.array([math.sqrt(rel[0]**2 + rel[1 + k]**2) for k in range(dims.d)])
+            in_q = abs(g0.value) >= 5.0 * g0.stderr
+            rows[i].append(FlowEvaluation(
+                float(t), u_arr, g0.value, psi, log_phi, in_Q=in_q,
+                phi_stderr=g0.stderr, psi_stderr=psi_stderr,
+            ))
+    return rows if anchored else rows[1:]
 
-    logs = [_log_track(series, x0) for series, x0 in zip(estimates, starts)]
-    out = []
-    for i, t in enumerate(ts):
-        g0 = estimates[0][i]
-        log_phi = complex(logs[0][i])
-        psi = np.array([logs[1 + k][i] - logs[0][i] for k in range(dims.d)])
-        rel0 = g0.stderr / abs(g0.value)
-        psi_stderr = np.array([
-            math.sqrt(rel0**2 + (estimates[1 + k][i].stderr / abs(estimates[1 + k][i].value)) ** 2)
-            for k in range(dims.d)
-        ])
-        in_q = abs(g0.value) >= 5.0 * g0.stderr
-        out.append(FlowEvaluation(
-            float(t), u_arr, g0.value, psi, log_phi, in_Q=in_q,
-            phi_stderr=g0.stderr, psi_stderr=psi_stderr,
-        ))
-    return out
+
+class SampledFlowSource:
+    """Flow source recovering the transform pair from simulated paths.
+
+    ``on_grid`` is :func:`recover_phi_psi` on a model or state source; its
+    cells carry ``phi_stderr`` and ``psi_stderr``.
+    """
+
+    def __init__(self, source, dims: Dims, n_paths: int, seed: int):
+        self.source = source
+        self.dims = dims
+        self.n_paths = n_paths
+        self.seed = seed
+
+    def on_grid(self, t_grid, u_list) -> list:
+        return recover_phi_psi(self.source, self.dims, t_grid, u_list, self.n_paths, self.seed)
 
 
 def semihomogeneity_test(source, dims: Dims, t: float, u, n_paths: int, seed: int,
@@ -218,8 +242,7 @@ def semihomogeneity_test(source, dims: Dims, t: float, u, n_paths: int, seed: in
     """
     if dims.n == 0:
         return CheckReport("semihomogeneity", "no free components (n=0), vacuous", 0.0, threshold)
-    evals = recover_phi_psi(source, dims, [0.0, float(t)], u, n_paths, seed)
-    ev = evals[-1]
+    ev = recover_phi_psi(source, dims, [float(t)], [u], n_paths, seed)[-1][0]
     u_arr = ev.u
     scored = []
     for k in range(dims.m, dims.d):

@@ -16,8 +16,9 @@ fails the call.
 
 Consumers read flows through a flow source, an object whose one method
 ``on_grid(t_grid, u_list)`` returns the evaluations row-major in t:
-:class:`OdeFlowSource` or :class:`ClosedFlowSource`.  A single (t, u) is the
-one-cell grid ``on_grid([t], [u])[0][0]``.
+:class:`OdeFlowSource`, :class:`ClosedFlowSource`, or the sampled
+``empirical.SampledFlowSource``.  A single (t, u) is the one-cell grid
+``on_grid([t], [u])[0][0]``.
 """
 
 from __future__ import annotations
@@ -280,8 +281,6 @@ def _flow_lanes(gen, dims: Dims, points: list, times: list, tol: Tolerances):
 
 def _evaluation(t: float, u_arr: np.ndarray, state: np.ndarray, dims: Dims) -> FlowEvaluation:
     """The cell at (t, u) from its record; a lane that exited before t is ``in_Q=False`` at t."""
-    if t == 0:
-        return FlowEvaluation(0.0, u_arr, 1 + 0j, u_arr.copy(), 0j)
     log_phi = complex(state[dims.d])
     if math.isnan(log_phi.real):
         nan_psi = np.full(dims.d, np.nan + 0j)

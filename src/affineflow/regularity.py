@@ -14,11 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dims, as_point, in_domain_interior
+from .empirical import SampledFlowSource
 from .verify import CheckReport, _scored_report
 
 __all__ = [
     "DerivativeEstimate",
-    "EmpiricalDerivativeEstimate",
     "FRExtrapolationError",
     "estimate_FR",
     "estimate_FR_from_samples",
@@ -37,7 +37,9 @@ class DerivativeEstimate:
 
     ``error_estimate`` is the last extrapolation increment — the observed
     change from adding the finest step — and bounds the remaining truncation
-    error for smooth flows.
+    error for smooth flows; a one-step schedule is the plain forward quotient
+    and reads 0.  ``F_stderr`` and ``R_stderr`` are the standard errors of a
+    quotient of sampled cells (the cells' stderrs over the step), else None.
     """
 
     u: np.ndarray
@@ -46,6 +48,8 @@ class DerivativeEstimate:
     step_schedule: np.ndarray
     extrapolation_order: int
     error_estimate: float
+    F_stderr: float | None = None
+    R_stderr: np.ndarray | None = None
 
     def __post_init__(self):
         if self.error_estimate < 0:
@@ -90,22 +94,45 @@ def estimate_FR(source, u, h_schedule=(1e-2, 5e-3, 2.5e-3),
 
     Forward quotients (Phi(h,u) - 1)/h and (psi(h,u) - u)/h over a step-halving
     schedule, Richardson-extrapolated; t=0 being a boundary rules out central
-    differences.  Raises :class:`FRExtrapolationError` when the increments do
-    not shrink.  ``dims`` is accepted for callers that pass it and is not used.
+    differences, and a one-step schedule is the plain quotient.  Raises
+    :class:`FRExtrapolationError` when the increments do not shrink.  ``dims``
+    is accepted for callers that pass it and is not used.
+
+    Sampled cells (with standard errors, from a :class:`SampledFlowSource`)
+    take a one-step schedule only: extrapolating them would need the joint
+    covariance of the cells, which per-cell standard errors do not carry.  The
+    step trades O(h) truncation bias against an O(1/(h sqrt(n))) noise term;
+    a step whose quotient standard error exceeds the estimates themselves is
+    refused instead of being silently adjusted.
     """
     hs = np.asarray(sorted(h_schedule, reverse=True), dtype=float)
-    if hs.size < 2:
-        raise ValueError("need at least two steps to extrapolate")
+    if hs.size < 1:
+        raise ValueError("need at least one step")
     if np.any(hs <= 0) or np.any(np.abs(hs[:-1] / hs[1:] - 2.0) > 1e-9):
         raise ValueError("step schedule must be positive with ratio 2")
     u_arr = np.asarray(u, dtype=np.complex128)
     rows = []
     for h in hs:
         ev = source.on_grid([float(h)], [u_arr])[0][0]
+        if ev.phi_stderr is not None and hs.size > 1:
+            raise ValueError(
+                "sampled cells take a one-step schedule: extrapolating them needs "
+                "the joint covariance of the cells, which their standard errors do not carry"
+            )
         if not ev.in_Q:
             raise FRExtrapolationError(f"flow left its domain at step h={h}")
         rows.append(np.concatenate([[(ev.phi - 1.0) / h], (ev.psi - u_arr) / h]))
     scale = float(np.max(np.abs(rows[-1])))
+    f_se = r_se = None
+    if ev.phi_stderr is not None:
+        f_se, r_se = float(ev.phi_stderr / h), ev.psi_stderr / h
+        noise = max(f_se, float(np.max(r_se, initial=0.0)))
+        if noise > max(1.0, scale):
+            raise ValueError(
+                f"step {h} is below the noise floor of the sampled cells: the quotient "
+                f"standard error {noise:.3g} exceeds the estimate scale {max(1.0, scale):.3g}; "
+                "increase the step or the path count"
+            )
     # (Phi(h) - 1)/h and (psi(h) - u)/h cancel O(max(1, |u|)) terms, so the
     # finest quotient carries rounding noise of about eps * max(1, |u|) / h.
     magnitude = float(np.max(np.abs(u_arr), initial=1.0))
@@ -118,67 +145,15 @@ def estimate_FR(source, u, h_schedule=(1e-2, 5e-3, 2.5e-3),
         step_schedule=hs,
         extrapolation_order=hs.size - 1,
         error_estimate=err,
+        F_stderr=f_se,
+        R_stderr=r_se,
     )
 
 
-@dataclass(frozen=True)
-class EmpiricalDerivativeEstimate:
-    """Single-step derivative estimate from a sample-recovered flow.
-
-    ``noise_floor`` is the standard error divided by the step — the
-    statistical contribution to the quotient, which doubles when the step
-    halves.  Steps should stay coarse enough that this term dominates the
-    O(h) truncation bias; the field makes the trade-off visible instead of
-    silently truncating.
-    """
-
-    u: np.ndarray
-    F_hat: complex
-    R_hat: np.ndarray
-    h: float
-    F_stderr: float
-    R_stderr: np.ndarray
-    n_paths: int
-    noise_floor: float
-
-
-def estimate_FR_from_samples(source, dims: Dims, u, h: float, n_paths: int, seed: int,
-                             ) -> EmpiricalDerivativeEstimate:
-    """Forward-difference derivative estimate from Monte Carlo flow recovery.
-
-    Recovers the transform pair at times {0, h} from simulated paths and
-    forms the one-sided quotients; standard errors propagate from the
-    empirical transform through the log and the difference.  No
-    extrapolation — the step trades O(h) truncation bias against an
-    O(1/(h sqrt(n))) noise term, and since the bias-to-noise ratio shrinks
-    like h^(3/2), a small-but-not-tiny step is the usable regime.  Steps so
-    small that the noise term swamps the estimates themselves are refused
-    with an explicit error instead of being silently adjusted.
-    """
-    from .empirical import recover_phi_psi
-
-    if h <= 0:
-        raise ValueError("the step must be positive")
-    u_arr = np.asarray(u, dtype=np.complex128)
-    evals = recover_phi_psi(source, dims, [0.0, float(h)], u_arr, n_paths, seed)
-    ev = evals[-1]
-    f_hat = (ev.phi - 1.0) / h
-    r_hat = (ev.psi - u_arr) / h
-    f_se = ev.phi_stderr / h
-    r_se = ev.psi_stderr / h
-    noise = float(max(f_se, np.max(r_se, initial=0.0)))
-    scale = max(1.0, abs(f_hat), float(np.max(np.abs(r_hat), initial=0.0)))
-    if noise > scale:
-        raise ValueError(
-            f"step {h} is below the noise floor for {n_paths} paths: the quotient "
-            f"standard error {noise:.3g} exceeds the estimate scale {scale:.3g}; "
-            "increase the step or the path count"
-        )
-    return EmpiricalDerivativeEstimate(
-        u=u_arr, F_hat=complex(f_hat), R_hat=r_hat, h=float(h),
-        F_stderr=float(f_se), R_stderr=r_se, n_paths=n_paths,
-        noise_floor=noise,
-    )
+def estimate_FR_from_samples(source, dims: Dims, u, h: float, n_paths: int,
+                             seed: int) -> DerivativeEstimate:
+    """The one-step :func:`estimate_FR` on the flow recovered from ``n_paths`` per start."""
+    return estimate_FR(SampledFlowSource(source, dims, n_paths, seed), u, (h,))
 
 
 _QUAD_NODES = 12       # Gauss-Legendre nodes per panel in riccati_consistency

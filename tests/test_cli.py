@@ -436,6 +436,24 @@ def test_frame_rejects_non_imaginary_u(tmp_path, capsys):
     assert "purely imaginary" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("re_part, message", [
+    ("1e-13", None),
+    ("1e-11", "outside the admissible half-space"),
+    ("-1e-11", "purely imaginary"),
+])
+def test_frame_takes_real_parts_inside_the_region_band(tmp_path, capsys, re_part, message):
+    """`frame` reads |Re u| <= REGION_EPS as purely imaginary, as pq_recursion does."""
+    cfg = write_cfg(tmp_path, FRAME_CFG.replace(
+        "grid.u = (0.4j, 0.5j)", f"grid.u = ({re_part}+0.4j, 0.5j)").replace(
+        "sim.paths = 3000", "sim.paths = 2000"))
+    code = main(["frame", "--config", cfg, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    if message is None:
+        assert code == EXIT_PASS, err
+    else:
+        assert code == EXIT_USAGE and message in err
+
+
 # ---------------------------------------------------------------------------
 # module entry point
 

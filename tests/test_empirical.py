@@ -10,6 +10,7 @@ from affineflow.empirical import (
     affine_factorization_test,
     ecf_from_states,
     endpoint_states,
+    SampledFlowSource,
     recover_phi_psi,
     semihomogeneity_test,
 )
@@ -81,7 +82,7 @@ def test_factorization_corner_must_stay_on_cone(cir):
 def test_recover_phi_psi_tracks_closed_flow(cir):
     ts = [0.0, 0.25, 0.5]
     u = np.array([-1.0 + 0j])
-    evals = recover_phi_psi(cir, cir.dims, ts, u, n_paths=20_000, seed=5)
+    evals = [ev for (ev,) in recover_phi_psi(cir, cir.dims, ts, [u], n_paths=20_000, seed=5)]
     assert len(evals) == 3
     assert evals[0].phi == 1 + 0j and np.array_equal(evals[0].psi, u)
     for ev in evals[1:]:
@@ -94,11 +95,41 @@ def test_recover_phi_psi_tracks_closed_flow(cir):
 
 
 def test_recover_phi_psi_validation(cir):
+    """The leading 0 is optional; repeated, decreasing or negative times raise."""
     u = np.array([-1.0 + 0j])
-    with pytest.raises(ValueError, match="start at 0"):
-        recover_phi_psi(cir, cir.dims, [0.1, 0.5], u, 100, seed=1)
-    with pytest.raises(ValueError, match="start at 0"):
-        recover_phi_psi(cir, cir.dims, [0.0, 0.5, 0.5], u, 100, seed=1)
+    assert [row[0].t for row in recover_phi_psi(cir, cir.dims, [0.1, 0.5], [u], 100, seed=1)] \
+        == [0.1, 0.5]
+    for ts in ([0.0, 0.5, 0.5], [0.1, 0.5, 0.5], [0.5, 0.1], [-0.1, 0.5], []):
+        with pytest.raises(ValueError, match="strictly increasing and nonnegative"):
+            recover_phi_psi(cir, cir.dims, ts, [u], 100, seed=1)
+
+
+def _same_cell(a, b):
+    return (a.t == b.t and a.phi == b.phi and a.log_phi == b.log_phi and a.in_Q == b.in_Q
+            and np.array_equal(a.psi, b.psi) and a.phi_stderr == b.phi_stderr
+            and np.array_equal(a.psi_stderr, b.psi_stderr))
+
+
+def test_sampled_source_on_a_u_list_equals_one_u_calls(heston0):
+    """Each start's paths are drawn once for every u: a 2-u grid is two 1-u grids bit for bit."""
+    source = SampledFlowSource(heston0, heston0.dims, 1000, seed=4)
+    us = [np.array([-0.5 + 0.2j, 0.3j]), np.array([0.4j, -0.6j])]
+    ts = [0.0, 0.2, 0.5]
+    rows = source.on_grid(ts, us)
+    assert [len(row) for row in rows] == [2, 2, 2]
+    for j, u in enumerate(us):
+        alone = source.on_grid(ts, [u])
+        assert all(_same_cell(row[j], one[0]) for row, one in zip(rows, alone))
+    assert source.on_grid(ts, []) == [[], [], []]
+
+
+def test_sampled_source_without_a_leading_zero_is_the_tail(heston0):
+    """[h] draws the grid [0, h] and drops the 0 row."""
+    source = SampledFlowSource(heston0, heston0.dims, 1000, seed=4)
+    u = np.array([-0.5 + 0.2j, 0.3j])
+    tail = source.on_grid([0.0, 0.01], [u])[1:]
+    (row,) = source.on_grid([0.01], [u])
+    assert _same_cell(row[0], tail[0][0])
 
 
 def test_recover_phi_psi_branch_tracking_error():
@@ -110,7 +141,7 @@ def test_recover_phi_psi_branch_tracking_error():
         return out
 
     with pytest.raises(BranchContinuityError, match="phase jump"):
-        recover_phi_psi(spinning, Dims(0, 1), [0.0, 0.5, 1.0], np.array([4j]),
+        recover_phi_psi(spinning, Dims(0, 1), [0.0, 0.5, 1.0], [np.array([4j])],
                         n_paths=16, seed=0)
 
 
@@ -121,10 +152,10 @@ def test_recover_phi_psi_anchors_each_phase_at_its_start(levy):
         return np.broadcast_to(x0, (n_paths, len(times), len(x0))).copy()
 
     u = np.array([4j, 0.5j])
-    exact = recover_phi_psi(still, Dims(0, 2), [0.0, 0.5], u, n_paths=8, seed=0)[-1]
+    exact = recover_phi_psi(still, Dims(0, 2), [0.0, 0.5], [u], n_paths=8, seed=0)[-1][0]
     assert np.allclose(exact.psi, u, rtol=0, atol=1e-12) and abs(exact.log_phi) == 0
     # levy's fiber map is the identity: psi_1 was 4j - 2 pi i before the anchor
-    ev = recover_phi_psi(levy, levy.dims, [0.0, 0.1], u, n_paths=2000, seed=3)[-1]
+    ev = recover_phi_psi(levy, levy.dims, [0.0, 0.1], [u], n_paths=2000, seed=3)[-1][0]
     assert all(abs(ev.psi - u) < 5.0 * ev.psi_stderr), (ev.psi, ev.psi_stderr)
 
 

@@ -25,7 +25,8 @@ def test_exported_names_resolve(name):
 def test_removed_names_are_gone():
     for name in MODULES:
         module = importlib.import_module(name)
-        for removed in ("exp_functional", "in_domain", "as_flow_source"):
+        for removed in ("exp_functional", "in_domain", "as_flow_source",
+                        "EmpiricalDerivativeEstimate"):
             assert not hasattr(module, removed), (name, removed)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from affineflow.core import Dims
+from affineflow.empirical import SampledFlowSource
 from affineflow.flow import ClosedFlowSource, FlowEvaluation, OdeFlowSource, flow_source_for
 from affineflow.regularity import (
     DerivativeEstimate,
@@ -53,11 +54,18 @@ def test_estimate_fr_vanishes_at_origin(cir):
 
 
 def test_estimate_fr_schedule_validation(cir):
+    """One step is the plain forward quotient; an empty or non-halving schedule raises."""
     u = np.array([-1.0 + 0j])
-    with pytest.raises(ValueError, match="two steps"):
-        estimate_FR(ClosedFlowSource(cir.closed_flow), u, h_schedule=(1e-2,))
+    source = ClosedFlowSource(cir.closed_flow)
+    est = estimate_FR(source, u, h_schedule=(1e-2,))
+    ev = cir.closed_flow(1e-2, u)
+    assert est.F_hat == (ev.phi - 1.0) / 1e-2 and est.R_hat[0] == (ev.psi[0] - u[0]) / 1e-2
+    assert est.extrapolation_order == 0 and est.error_estimate == 0.0
+    assert est.F_stderr is None and est.R_stderr is None
+    with pytest.raises(ValueError, match="at least one step"):
+        estimate_FR(source, u, h_schedule=())
     with pytest.raises(ValueError, match="ratio 2"):
-        estimate_FR(ClosedFlowSource(cir.closed_flow), u, h_schedule=(1e-2, 3e-3, 1e-3))
+        estimate_FR(source, u, h_schedule=(1e-2, 3e-3, 1e-3))
 
 
 def test_estimate_fr_rejects_nonsmooth_flow():
@@ -89,8 +97,14 @@ def test_estimate_fr_from_samples_cir(cir):
                                    h=0.01, n_paths=20_000, seed=7)
     assert abs(est.F_hat - (-1.0)) < 5.0 * est.F_stderr
     assert abs(est.R_hat[0] - 1.5) < 5.0 * est.R_stderr[0]
-    assert est.h == 0.01 and est.n_paths == 20_000
-    assert 0.0 < est.noise_floor <= max(1.0, abs(est.F_hat))
+    assert np.array_equal(est.step_schedule, [0.01]) and est.extrapolation_order == 0
+    assert 0.0 < max(est.F_stderr, est.R_stderr[0]) <= max(1.0, abs(est.F_hat))
+
+
+def test_estimate_fr_refuses_to_extrapolate_sampled_cells(cir):
+    source = SampledFlowSource(cir, cir.dims, 1000, seed=7)
+    with pytest.raises(ValueError, match="joint covariance"):
+        estimate_FR(source, np.array([-1.0 + 0j]), h_schedule=(1e-2, 5e-3))
 
 
 def test_estimate_fr_from_samples_refuses_noise_dominated_step(cir):
