@@ -8,7 +8,10 @@ draws from the PCG64 stream of ``SeedSequence(entropy=seed, spawn_key=(b,))``,
 and every sampler makes its draws per block, vectorised over the block's
 paths.  The sampler runs on chunks of ``CHUNK_PATHS`` paths, a whole number of
 blocks, so results are bit-for-bit reproducible and independent of chunking
-and of the window of paths a call asks for.
+and of the window of paths a call asks for.  Each sampler steps in one loop,
+``walk(x0, times, rngs)``, which yields the (paths, d) state after each
+interval of ``times``; its ``sample_chunk`` stores those states, and the
+frame sampler of ``movingframe`` consumes them one at a time.
 """
 
 from __future__ import annotations
@@ -98,6 +101,15 @@ def _fill_normals(rngs, out) -> np.ndarray:
     return out
 
 
+def _recorded(walk, x0, times, rngs) -> np.ndarray:
+    """Store ``x0`` and the states a sampler's ``walk`` yields: (paths, len(times), d)."""
+    out = np.empty((len(rngs) * BLOCK_PATHS, len(times), len(x0)))
+    out[:, 0] = x0
+    for k, state in enumerate(walk, start=1):
+        out[:, k] = state
+    return out
+
+
 class GaussianIncrementSampler:
     """Exact transitions for the homogeneous Gaussian model (pure free part)."""
 
@@ -105,17 +117,19 @@ class GaussianIncrementSampler:
         self.drift = drift
         self.scale = scale  # matrix square root of the covariance
 
-    def sample_chunk(self, x0, times, rngs):
+    def walk(self, x0, times, rngs):
         dts = np.diff(times)
         sqdt = np.sqrt(dts)
         d = len(x0)
         xi = _fill_normals(rngs, np.empty((len(rngs), BLOCK_PATHS, len(dts), d)))
         xi = xi.reshape(-1, len(dts), d)
         incr = dts[:, None] * self.drift + (xi @ self.scale.T) * sqdt[:, None]
-        out = np.empty((len(xi), len(times), d))
-        out[:, 0] = x0
-        out[:, 1:] = x0 + np.cumsum(incr, axis=1)
-        return out
+        path = x0 + np.cumsum(incr, axis=1)
+        for k in range(len(dts)):
+            yield path[:, k]
+
+    def sample_chunk(self, x0, times, rngs):
+        return _recorded(self.walk(x0, times, rngs), x0, times, rngs)
 
 
 class CirExactSampler:
@@ -132,7 +146,7 @@ class CirExactSampler:
         self.b = b
         self.sigma = sigma
 
-    def sample_chunk(self, x0, times, rngs):
+    def walk(self, x0, times, rngs):
         dts = np.diff(times)
         ebd = np.exp(-self.b * dts)
         # E(dt) = (1 - e^{-b dt})/b, continuous at b=0
@@ -142,13 +156,18 @@ class CirExactSampler:
             e_fac = -np.expm1(-self.b * dts) / self.b
         c = 0.25 * self.sigma**2 * e_fac
         df2 = 2.0 * self.a / self.sigma**2  # df/2
-        out = np.empty((len(rngs), BLOCK_PATHS, len(times)))
-        out[:, :, 0] = x0[0]
-        for rng, rows in zip(rngs, out):
-            for k in range(len(dts)):
-                n_mix = rng.poisson(rows[:, k] * ebd[k] / (2.0 * c[k]))
-                rows[:, k + 1] = 2.0 * c[k] * rng.standard_gamma(df2 + n_mix)
-        return out.reshape(-1, len(times), 1)
+        x = np.full((len(rngs), BLOCK_PATHS), x0[0])
+        for k in range(len(dts)):
+            # step-major over the blocks: each block still reads its own stream in order
+            nxt = np.empty_like(x)
+            for rng, rows, new in zip(rngs, x, nxt):
+                n_mix = rng.poisson(rows * ebd[k] / (2.0 * c[k]))
+                new[:] = 2.0 * c[k] * rng.standard_gamma(df2 + n_mix)
+            x = nxt
+            yield x.reshape(-1, 1)
+
+    def sample_chunk(self, x0, times, rngs):
+        return _recorded(self.walk(x0, times, rngs), x0, times, rngs)
 
 
 class HestonEulerSampler:
@@ -174,7 +193,7 @@ class HestonEulerSampler:
         counts = np.maximum(1, np.ceil(dts / self.max_dt - 1e-12).astype(int))
         return dts, counts
 
-    def sample_chunk(self, x0, times, rngs):
+    def walk(self, x0, times, rngs):
         dts, counts = self._substep_plan(times)
         total = int(np.sum(counts))
         shape = (len(rngs), BLOCK_PATHS)
@@ -182,8 +201,6 @@ class HestonEulerSampler:
         # column a substep reads is contiguous within its block
         noise = np.empty((len(rngs), _NOISE_SUBSTEPS, 2, BLOCK_PATHS))
 
-        out = np.empty((*shape, len(times), 2))
-        out[:, :, 0] = x0
         v = np.full(shape, x0[0])
         y = np.full(shape, x0[1])
         pos = 0
@@ -204,9 +221,10 @@ class HestonEulerSampler:
                 y *= 1.0 - self.lam * eta
                 y += self.rho * dw1 + self.rho_c * sq * xi2
                 pos += 1
-            out[:, :, k + 1, 0] = np.maximum(v, 0.0)
-            out[:, :, k + 1, 1] = y
-        return out.reshape(-1, len(times), 2)
+            yield np.stack((np.maximum(v, 0.0), y), axis=-1).reshape(-1, 2)
+
+    def sample_chunk(self, x0, times, rngs):
+        return _recorded(self.walk(x0, times, rngs), x0, times, rngs)
 
 
 class SquaredStartBrownianSampler:
@@ -217,14 +235,16 @@ class SquaredStartBrownianSampler:
     from one Brownian motion so the square map is applied exactly once.
     """
 
-    def sample_chunk(self, x0, times, rngs):
+    def walk(self, x0, times, rngs):
         dts = np.diff(times)
         sqdt = np.sqrt(dts)
         xi = _fill_normals(rngs, np.empty((len(rngs), BLOCK_PATHS, len(dts)))).reshape(-1, len(dts))
-        out = np.empty((len(xi), len(times), 1))
-        out[:, 0, 0] = x0[0]
-        out[:, 1:, 0] = x0[0] ** 2 + np.cumsum(xi * sqdt, axis=1)
-        return out
+        path = x0[0] ** 2 + np.cumsum(xi * sqdt, axis=1)
+        for k in range(len(dts)):
+            yield path[:, k, None]
+
+    def sample_chunk(self, x0, times, rngs):
+        return _recorded(self.walk(x0, times, rngs), x0, times, rngs)
 
 
 # ----------------------------------------------------------------------------
@@ -469,9 +489,10 @@ def uniform_times(horizon: float, grid_step: float) -> np.ndarray:
 
 # Paths per sampler call in ``sample_grid``, a multiple of ``BLOCK_PATHS``; it
 # bounds the samplers' working arrays and changes no value.  At a chunk's peak
-# these are the sampler's output block and, for Heston, a noise window of
-# ``_NOISE_SUBSTEPS`` substeps; under the frame sampler the output is the fine
-# block, which the transform then works through in smaller path tiles.
+# these are the sampler's output on the record times and, for Heston, a noise
+# window of ``_NOISE_SUBSTEPS`` substeps.  The frame sampler adds only a few
+# (paths, d) arrays, the running integral among them; of the base samplers,
+# only the Gaussian ones' cumsum spans its internal grid.
 CHUNK_PATHS = 4096
 
 

@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
+from . import models
 from .core import REGION_EPS, Dims, Tolerances, as_point, outside_half_space
 from .flow import FlowIntegrationError, OdeFlowSource, flow_source_for, matrix_exp
 from .models import AffineModel, GeneratorPair, _sub_seeds, sample_grid, uniform_times
@@ -84,23 +86,43 @@ def _left_weights(times: np.ndarray) -> np.ndarray:
     return np.diff(times)
 
 
+def _left_integrals(states, dt):
+    """Pair each state x_i of ``states`` with its left-rule integral sum_{j<i} x_j dt_j.
+
+    ``states`` yields x_0, x_1, ... (arrays of one shape) and ``dt`` holds
+    the steps between them.  The terms add in order and the first sum is the
+    first term itself, as in ``np.cumsum``.  A yielded integral is valid
+    until the next state is drawn, since later sums add into it.
+    """
+    states = iter(states)
+    x = next(states)
+    integral = np.zeros_like(x)
+    yield x, integral
+    for i, (h, nxt) in enumerate(zip(dt, states)):
+        term = x * h
+        integral = term if i == 0 else np.add(integral, term, out=integral)
+        x = nxt
+        yield x, integral
+
+
 def transform_values(values: np.ndarray, times: np.ndarray, frame: FrameMatrix) -> np.ndarray:
     """Apply the frame transform to an array of paths (..., n_times, d).
 
     The running integral uses the left-endpoint rule, matching piecewise
     constant interpolation of the recorded values; the value at time 0 is
-    unchanged.
+    unchanged.  It is the running sum the frame sampler keeps while it
+    steps, so both give the same bits.
     """
     x = np.asarray(values, dtype=float)
     ts = np.asarray(times, dtype=float)
     dt = _left_weights(ts)
     if x.shape[-2] != ts.size or x.shape[-1] != frame.dims.d:
         raise ValueError(f"values shape {x.shape} does not match grid/dims")
-    integral = np.zeros_like(x)
-    np.cumsum(x[..., :-1, :] * dt[:, None], axis=-2, out=integral[..., 1:, :])
-    # subtract into the product's buffer: one full-size temporary fewer at the peak
-    out = integral @ frame.K
-    return np.subtract(x, out, out=out)
+    out = np.empty_like(x)
+    columns = (x[..., i, :] for i in range(ts.size))
+    for i, (xi, integral) in enumerate(_left_integrals(columns, dt)):
+        out[..., i, :] = xi - integral @ frame.K
+    return out
 
 
 def inverse_values(values: np.ndarray, times: np.ndarray, frame: FrameMatrix) -> np.ndarray:
@@ -250,22 +272,15 @@ def _pq_endpoint(gen, frame: FrameMatrix, t: float, u: np.ndarray,
 # transformed sampling and the certification pipeline
 
 
-# Paths per ``transform_values`` call in ``_FrameSampler.sample_chunk``: rows
-# transform independently, so tiling the fine block shrinks the transform's
-# block-sized temporaries (products, integral, ``integral @ K``) to tile size
-# without changing a bit.
-TILE_PATHS = 128
-
-
 class _FrameSampler:
     """Sampler of the frame-transformed process, for :func:`models.sample_grid`.
 
-    ``sample_chunk`` runs the base sampler on the uniform grid of step
-    ``internal_dt`` up to the last record time, with the same generators, so
-    the running integral of the transform is resolved.  It transforms that
-    fine block ``TILE_PATHS`` rows at a time and keeps each tile's
-    record-time columns, so at its peak a chunk holds the fine block and one
-    tile's temporaries.  Record times must lie on the internal grid.
+    ``sample_chunk`` steps the base sampler's ``walk`` on the uniform grid of
+    step ``internal_dt`` up to the last record time, with the same
+    generators, so the running integral of the transform is resolved.  It
+    adds each state to a left-rule running integral and stores
+    ``x - integral @ K`` at the record times only, so it keeps no array over
+    the internal grid.  Record times must lie on that grid.
     """
 
     def __init__(self, base, frame: FrameMatrix, internal_dt: float):
@@ -275,14 +290,18 @@ class _FrameSampler:
 
     def sample_chunk(self, x0, times, rngs):
         fine = uniform_times(float(times[-1]), self.internal_dt)
-        idx = np.minimum(np.searchsorted(fine, times), fine.size - 1)
+        # nearest node: a node's float may sit an ulp on either side of its time
+        idx = np.rint(times / self.internal_dt).astype(int)
         if np.max(np.abs(fine[idx] - times)) > 1e-9:
             raise ValueError("record times must lie on the internal uniform grid")
-        block = self.base.sample_chunk(x0, fine, rngs)
-        out = np.empty((block.shape[0], idx.size, block.shape[-1]))
-        for lo in range(0, block.shape[0], TILE_PATHS):
-            tile = block[lo:lo + TILE_PATHS]
-            out[lo:lo + TILE_PATHS] = transform_values(tile, fine, self.frame)[:, idx, :]
+        shape = (len(rngs) * models.BLOCK_PATHS, len(x0))
+        states = chain([np.broadcast_to(x0, shape)], self.base.walk(x0, fine, rngs))
+        out = np.empty((shape[0], idx.size, shape[1]))
+        col = 0
+        for i, (x, integral) in enumerate(_left_integrals(states, np.diff(fine))):
+            while col < idx.size and idx[col] == i:
+                out[:, col] = x - integral @ self.frame.K
+                col += 1
         return out
 
 
@@ -296,8 +315,8 @@ def transformed_state_source(model: AffineModel, frame: FrameMatrix,
     is path p of ``sample_grid`` on the same seed, transformed.  The copy
     carries no flow, so nothing reads the base model's flow as the
     transformed one's.  ``sample_grid`` chunks the paths and the sampler
-    transforms each chunk in path tiles, so at the peak the one
-    full-resolution array is a chunk's fine block.
+    integrates each chunk as it steps, so beyond the base sampler's working
+    arrays a chunk holds its record-time output and a few (paths, d) arrays.
     """
     if internal_dt <= 0:
         raise ValueError("internal_dt must be positive")

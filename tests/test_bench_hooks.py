@@ -68,7 +68,7 @@ def test_sample_grid_hands_each_sampler_a_list_of_generators(levy, cir, heston0,
 
 
 def test_transformed_source_hook_and_the_base_sampler_calls(tracer, heston1, monkeypatch):
-    """The tracer wraps the returned source; the base sampler sees the fine grid in chunks."""
+    """The tracer wraps the returned source; the base sampler walks the fine grid in chunks."""
     frame = movingframe.build_frame(heston1.beta, heston1.dims)
     source = movingframe.transformed_state_source(heston1, frame, internal_dt=0.05)
     record = np.array([0.0, 0.25, 0.5])
@@ -80,13 +80,13 @@ def test_transformed_source_hook_and_the_base_sampler_calls(tracer, heston1, mon
     monkeypatch.setattr(models, "BLOCK_PATHS", 3)
     monkeypatch.setattr(models, "CHUNK_PATHS", 12)
     seen = []
-    sample_chunk = type(heston1.sampler).sample_chunk
+    walk = type(heston1.sampler).walk
 
     def recording(self, x0, times, rngs):
         seen.append((np.array(times), rngs))
-        return sample_chunk(self, x0, times, rngs)
+        return walk(self, x0, times, rngs)
 
-    monkeypatch.setattr(type(heston1.sampler), "sample_chunk", recording)
+    monkeypatch.setattr(type(heston1.sampler), "walk", recording)
     source([0.3, 0.5], record, 28, 6)
     assert [len(rngs) for _, rngs in seen] == [4, 4, 2]
     assert all(np.array_equal(times, models.uniform_times(0.5, 0.05)) for times, _ in seen)

@@ -320,22 +320,41 @@ def test_transformed_state_source_never_depends_on_chunking(heston1, monkeypatch
     assert np.array_equal(chunked, whole)
 
 
-def test_frame_tiles_never_change_a_row(heston1, monkeypatch):
-    """Path tiles of 3 inside chunks of 6 give the whole-block transform bit for bit (K != 0)."""
-    monkeypatch.setattr(movingframe, "TILE_PATHS", 3)
+def test_frame_tiles_never_change_a_row(heston1, levy, monkeypatch):
+    """The fused running integral in chunks of 6 gives the whole-array transform bit for bit.
+
+    Heston's frame is diagonal; levy's non-diagonal frame runs the Gaussian
+    ``walk`` and an ``@ K`` product that rounds each entry more than once.
+    """
     monkeypatch.setattr(models, "BLOCK_PATHS", 2)
     monkeypatch.setattr(models, "CHUNK_PATHS", 6)
-    frame = build_frame(heston1.beta, heston1.dims)
     record = np.array([0.0, 0.25, 0.5])
-    got = transformed_state_source(heston1, frame, internal_dt=0.05)([0.3, 0.5], record, 10, seed=6)
     fine = uniform_times(0.5, 0.05)
     idx = np.searchsorted(fine, record)
-    whole = transform_values(sample_grid(heston1, [0.3, 0.5], fine, 10, seed=6), fine, frame)
-    assert np.array_equal(got, whole[:, idx])
+    for model, frame, x0 in ((heston1, build_frame(heston1.beta, heston1.dims), [0.3, 0.5]),
+                             (levy, build_frame([[-0.5, 0.2], [0.1, -0.3]], levy.dims), [0.1, 0.2])):
+        got = transformed_state_source(model, frame, internal_dt=0.05)(x0, record, 10, seed=6)
+        whole = transform_values(sample_grid(model, x0, fine, 10, seed=6), fine, frame)
+        assert np.array_equal(got, whole[:, idx]), model.name
 
 
-def test_frame_sampler_peak_memory_is_about_one_fine_block(heston1):
-    """Under tracemalloc a one-block chunk peaks at the fine block plus the sampler's noise."""
+def test_frame_sampler_matches_record_times_to_the_nearest_node(heston1):
+    """0.0015 is node 5 of the 3e-4 grid although 5 * 3e-4 lands an ulp below it."""
+    assert 5 * 3e-4 < 0.0015
+    frame = build_frame(heston1.beta, heston1.dims)
+    src = transformed_state_source(heston1, frame, internal_dt=3e-4)
+    record = np.array([0.0, 0.0015, 0.003])
+    got = src([0.3, 0.5], record, 4, seed=2)
+    fine = uniform_times(0.003, 3e-4)
+    assert np.array_equal(got, src([0.3, 0.5], fine, 4, seed=2)[:, [0, 5, 10]])
+
+
+def test_frame_sampler_peak_memory_is_a_small_share_of_one_fine_block(heston1):
+    """Under tracemalloc a one-block chunk peaks at a quarter of its fine block or less.
+
+    The fine block, a chunk's paths on the internal grid, is never allocated:
+    the running integral holds one (paths, d) array.
+    """
     frame = build_frame(heston1.beta, heston1.dims)
     sampler = movingframe._FrameSampler(heston1.sampler, frame, 1e-3)
     rngs = [np.random.default_rng(0)]
@@ -347,7 +366,7 @@ def test_frame_sampler_peak_memory_is_about_one_fine_block(heston1):
     finally:
         tracemalloc.stop()
     fine_block_bytes = models.BLOCK_PATHS * 501 * 2 * 8
-    assert peak <= 2.5 * fine_block_bytes, peak / fine_block_bytes
+    assert peak <= 0.25 * fine_block_bytes, peak / fine_block_bytes
 
 
 def test_transformed_state_source_validation(heston0):
