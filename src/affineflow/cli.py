@@ -23,6 +23,7 @@ import json
 import sys
 import zlib
 from dataclasses import replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -80,9 +81,15 @@ def _check_seed(base_seed: int, name: str) -> int:
 
 
 def _write_text(path: Path, text: str) -> None:
+    _write_parts(path, [text])
+
+
+def _write_parts(path: Path, parts) -> None:
+    """Write the strings of the iterable ``parts`` one after another, as ``_write_text`` would."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        for part in parts:
+            fh.write(part)
 
 
 def _json_text(payload: dict) -> str:
@@ -109,14 +116,15 @@ def _write_paths_csv(path: Path, times: np.ndarray, values: np.ndarray) -> None:
     """Transformed paths in long format: path_id, t, x1..xd, one row per grid point.
 
     Cells are ``repr`` of the floats and rows end in ``\\r\\n``, byte for byte
-    what ``csv.writer`` writes for them (no cell needs quoting).
+    what ``csv.writer`` writes for them (no cell needs quoting).  The file is
+    written path by path, so only one path's text is held at a time.
     """
     header = ",".join(["path_id", "t"] + [f"x{i + 1}" for i in range(values.shape[-1])])
-    lines = ["# frame=transformed\n", header + "\r\n"]
     ts = [repr(float(t)) for t in times]
-    for pid, rows in enumerate(values.tolist()):
-        lines.extend(f"{pid},{t},{','.join(map(repr, row))}\r\n" for t, row in zip(ts, rows))
-    _write_text(path, "".join(lines))
+    paths = ("".join([f"{pid},{t},{','.join(map(repr, row))}\r\n"
+                      for t, row in zip(ts, values[pid].tolist())])
+             for pid in range(len(values)))
+    _write_parts(path, chain(["# frame=transformed\n", header + "\r\n"], paths))
 
 
 # ----------------------------------------------------------------------------

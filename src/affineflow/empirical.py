@@ -163,6 +163,30 @@ def _log_track(series, u_arr, x0) -> np.ndarray:
     return np.log(np.abs(vals)) + 1j * phases
 
 
+def _start_logs(source, dims: Dims, ts: np.ndarray, u_arrs: list, n_paths: int, seed: int,
+                starts) -> tuple[list, list]:
+    """Transform estimates and their branch-continuous logs at the starts ``starts``.
+
+    Start 0 is the origin and start 1 + k the k-th coordinate unit vector.
+    Start j draws one path set for every t of ``ts`` (which begins at 0) and
+    every u, from seed ``_sub_seeds(seed, 1 + d)[j]`` whichever other starts
+    are drawn, so a start's numbers do not depend on which others are.
+    Returns ``estimates[u][s][i]`` (:class:`EcfEstimate` at ``ts[i]``) and
+    ``logs[u][s]`` (:func:`_log_track`), s running over ``starts`` in order.
+    """
+    src = _as_state_source(source)
+    points = [np.zeros(dims.d), *np.eye(dims.d)]
+    seeds = _sub_seeds(seed, len(points))
+    by_u = [[] for _ in u_arrs]
+    for j in starts:
+        values = src(points[j], ts, n_paths, seeds[j])
+        for estimates, u_arr in zip(by_u, u_arrs):
+            estimates.append([ecf_from_states(values[:, i, :], u_arr, t) for i, t in enumerate(ts)])
+    logs = [[_log_track(series, u_arr, points[j]) for series, j in zip(estimates, starts)]
+            for u_arr, estimates in zip(u_arrs, by_u)]
+    return by_u, logs
+
+
 def recover_phi_psi(source, dims: Dims, t_grid, u_list, n_paths: int, seed: int) -> list:
     """Recover the transform pair on a (t, u) grid from simulated samples, row-major in t.
 
@@ -179,26 +203,17 @@ def recover_phi_psi(source, dims: Dims, t_grid, u_list, n_paths: int, seed: int)
     scalar factor is indistinguishable from zero (below five standard errors)
     are marked ``in_Q=False``.
     """
-    src = _as_state_source(source)
     ts = np.asarray(t_grid, dtype=float)
     if ts.ndim != 1 or ts.size < 1 or ts[0] < 0.0 or np.any(np.diff(ts) <= 0):
         raise ValueError("t_grid must be strictly increasing and nonnegative")
     anchored = ts[0] == 0.0
     if not anchored:
         ts = np.concatenate(([0.0], ts))
-
-    starts = [np.zeros(dims.d), *np.eye(dims.d)]
-    seeds = _sub_seeds(seed, len(starts))
     u_arrs = [np.asarray(u, dtype=np.complex128) for u in u_list]
-    by_u = [[] for _ in u_arrs]  # [u][start][time] -> EcfEstimate
-    for x0, s in zip(starts, seeds):
-        values = src(x0, ts, n_paths, s)
-        for estimates, u_arr in zip(by_u, u_arrs):
-            estimates.append([ecf_from_states(values[:, i, :], u_arr, t) for i, t in enumerate(ts)])
+    by_u, logs_by_u = _start_logs(source, dims, ts, u_arrs, n_paths, seed, range(1 + dims.d))
 
     rows = [[] for _ in ts]
-    for u_arr, estimates in zip(u_arrs, by_u):
-        logs = [_log_track(series, u_arr, x0) for series, x0 in zip(estimates, starts)]
+    for u_arr, estimates, logs in zip(u_arrs, by_u, logs_by_u):
         for i, t in enumerate(ts):
             g0 = estimates[0][i]
             log_phi = complex(logs[0][i])
@@ -238,20 +253,30 @@ def semihomogeneity_test(source, dims: Dims, t: float, u, n_paths: int, seed: in
     empirical log-transform and scores their defect from the input argument in
     standard errors.  Passing means the dynamics are consistent with a flow
     that leaves free arguments fixed (zero free drift); a confident failure
-    means the free components genuinely rotate or contract.
+    means the free components genuinely rotate or contract.  Only the starts
+    it scores are drawn, the origin and the n free unit vectors, each with
+    the path set :func:`recover_phi_psi` draws for it, so every number
+    equals that function's free components at ``t``.
     """
     if dims.n == 0:
         return CheckReport("semihomogeneity", "no free components (n=0), vacuous", 0.0, threshold)
-    ev = recover_phi_psi(source, dims, [float(t)], [u], n_paths, seed)[-1][0]
-    u_arr = ev.u
+    if not t > 0:
+        raise ValueError("t must be positive")
+    u_arr = np.asarray(u, dtype=np.complex128)
+    free = range(dims.m, dims.d)
+    (estimates,), (logs,) = _start_logs(source, dims, np.array([0.0, float(t)]), [u_arr],
+                                        n_paths, seed, [0, *(1 + k for k in free)])
+    # the same arithmetic as recover_phi_psi's last row, on the free components
+    psi = np.array([logs[1 + s][-1] - logs[0][-1] for s in range(dims.n)])
+    rel = [series[-1].stderr / abs(series[-1].value) for series in estimates]
+    psi_stderr = np.array([math.sqrt(rel[0]**2 + rel[1 + s]**2) for s in range(dims.n)])
     scored = []
-    for k in range(dims.m, dims.d):
-        defect = abs(ev.psi[k] - u_arr[k])
-        scored.append((_z_score(defect, ev.psi_stderr[k]), {
+    for s, k in enumerate(free):
+        defect = abs(psi[s] - u_arr[k])
+        scored.append((_z_score(defect, psi_stderr[s]), {
             "inputs": {"t": float(t), "u": u_arr, "component": k},
-            "observed": {"psi_k": ev.psi[k], "defect": defect, "stderr": ev.psi_stderr[k]},
+            "observed": {"psi_k": psi[s], "defect": defect, "stderr": psi_stderr[s]},
             "expected": f"psi_k == u_k within {threshold} sigma",
         }))
     return _scored_report("semihomogeneity", f"t={t}, {n_paths} paths per start, probe scale 1.0",
                           threshold, scored)
-

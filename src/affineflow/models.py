@@ -10,8 +10,9 @@ paths.  The sampler runs on chunks of ``CHUNK_PATHS`` paths, a whole number of
 blocks, so results are bit-for-bit reproducible and independent of chunking
 and of the window of paths a call asks for.  Each sampler steps in one loop,
 ``walk(x0, times, rngs)``, which yields the (paths, d) state after each
-interval of ``times``; its ``sample_chunk`` stores those states, and the
-frame sampler of ``movingframe`` consumes them one at a time.
+interval of ``times``, valid until the next one is drawn; its
+``sample_chunk`` stores those states, and the frame sampler of
+``movingframe`` consumes them one at a time.
 """
 
 from __future__ import annotations
@@ -118,15 +119,24 @@ class GaussianIncrementSampler:
         self.scale = scale  # matrix square root of the covariance
 
     def walk(self, x0, times, rngs):
+        """Yield ``x0`` plus the running sum of the increments after each interval.
+
+        The normals are drawn once per block and scaled in one product; each
+        increment and the sum are taken step by step, so a yielded state is
+        a fresh array.
+        """
         dts = np.diff(times)
         sqdt = np.sqrt(dts)
         d = len(x0)
         xi = _fill_normals(rngs, np.empty((len(rngs), BLOCK_PATHS, len(dts), d)))
-        xi = xi.reshape(-1, len(dts), d)
-        incr = dts[:, None] * self.drift + (xi @ self.scale.T) * sqdt[:, None]
-        path = x0 + np.cumsum(incr, axis=1)
+        noise = xi.reshape(-1, len(dts), d) @ self.scale.T
+        del xi  # free the normals: only their product spans the grid while stepping
+        # the running sum adds the increments in order, as np.cumsum does
+        total = None
         for k in range(len(dts)):
-            yield path[:, k]
+            incr = dts[k] * self.drift + noise[:, k] * sqdt[k]
+            total = incr if total is None else np.add(total, incr, out=total)
+            yield x0 + total
 
     def sample_chunk(self, x0, times, rngs):
         return _recorded(self.walk(x0, times, rngs), x0, times, rngs)
@@ -194,34 +204,56 @@ class HestonEulerSampler:
         return dts, counts
 
     def walk(self, x0, times, rngs):
+        """Yield ``(max(v, 0), y)`` after each interval of ``times``, (paths, 2).
+
+        Every substep runs on preallocated buffers, and the yielded state is
+        one buffer rewritten after each interval: it is valid until the next
+        state is drawn.
+        """
         dts, counts = self._substep_plan(times)
         total = int(np.sum(counts))
         shape = (len(rngs), BLOCK_PATHS)
         # substep-major noise, (substeps, 2, BLOCK_PATHS) per block: every
         # column a substep reads is contiguous within its block
         noise = np.empty((len(rngs), _NOISE_SUBSTEPS, 2, BLOCK_PATHS))
+        # the yielded state, rewritten after every record interval
+        state = np.empty(shape + (2,))
 
         v = np.full(shape, x0[0])
         y = np.full(shape, x0[1])
+        vp = np.maximum(v, 0.0)
+        sq, dw1, drift, diffusion = (np.empty(shape) for _ in range(4))
         pos = 0
         for k in range(len(dts)):
             eta = dts[k] / counts[k]
             se = math.sqrt(eta)
+            a_eta, b_eta, decay = self.a * eta, self.b * eta, 1.0 - self.lam * eta
             for _ in range(counts[k]):
                 w = pos % _NOISE_SUBSTEPS
                 if w == 0:
                     _fill_normals(rngs, noise[:, :total - pos])
                 xi1 = noise[:, w, 0]
                 xi2 = noise[:, w, 1]
-                vp = np.maximum(v, 0.0)
-                sq = np.sqrt(vp)
+                np.sqrt(vp, out=sq)
                 sq *= se  # sqrt(v+ eta)
-                dw1 = sq * xi1
-                v += self.a * eta - (self.b * eta) * vp + self.sigma * dw1
-                y *= 1.0 - self.lam * eta
-                y += self.rho * dw1 + self.rho_c * sq * xi2
+                np.multiply(sq, xi1, out=dw1)
+                # v += a eta - (b eta) v+ + sigma dw1
+                np.multiply(b_eta, vp, out=drift)
+                np.subtract(a_eta, drift, out=drift)
+                drift += np.multiply(self.sigma, dw1, out=diffusion)
+                v += drift
+                # y += rho dw1 + rho_c sq xi2, after y *= 1 - lam eta
+                y *= decay
+                dw1 *= self.rho
+                sq *= self.rho_c
+                sq *= xi2
+                dw1 += sq
+                y += dw1
+                np.maximum(v, 0.0, out=vp)
                 pos += 1
-            yield np.stack((np.maximum(v, 0.0), y), axis=-1).reshape(-1, 2)
+            state[..., 0] = vp
+            state[..., 1] = y
+            yield state.reshape(-1, 2)
 
     def sample_chunk(self, x0, times, rngs):
         return _recorded(self.walk(x0, times, rngs), x0, times, rngs)
@@ -239,9 +271,12 @@ class SquaredStartBrownianSampler:
         dts = np.diff(times)
         sqdt = np.sqrt(dts)
         xi = _fill_normals(rngs, np.empty((len(rngs), BLOCK_PATHS, len(dts)))).reshape(-1, len(dts))
-        path = x0[0] ** 2 + np.cumsum(xi * sqdt, axis=1)
+        start = x0[0] ** 2
+        total = None
         for k in range(len(dts)):
-            yield path[:, k, None]
+            incr = xi[:, k] * sqdt[k]
+            total = incr if total is None else np.add(total, incr, out=total)
+            yield (start + total)[:, None]
 
     def sample_chunk(self, x0, times, rngs):
         return _recorded(self.walk(x0, times, rngs), x0, times, rngs)
@@ -492,7 +527,8 @@ def uniform_times(horizon: float, grid_step: float) -> np.ndarray:
 # these are the sampler's output on the record times and, for Heston, a noise
 # window of ``_NOISE_SUBSTEPS`` substeps.  The frame sampler adds only a few
 # (paths, d) arrays, the running integral among them; of the base samplers,
-# only the Gaussian ones' cumsum spans its internal grid.
+# only the Gaussian ones hold arrays over the grid: their normals and, for
+# the Gaussian model, the normals' product with the scale.
 CHUNK_PATHS = 4096
 
 

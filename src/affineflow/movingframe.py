@@ -91,17 +91,24 @@ def _left_integrals(states, dt):
 
     ``states`` yields x_0, x_1, ... (arrays of one shape) and ``dt`` holds
     the steps between them.  The terms add in order and the first sum is the
-    first term itself, as in ``np.cumsum``.  A yielded integral is valid
-    until the next state is drawn, since later sums add into it.
+    first term itself, as in ``np.cumsum``.  Each x_j dt_j is taken before
+    the next state is drawn, so ``states`` may rewrite one buffer in place.
+    A yielded integral is valid until the next state is drawn, since later
+    sums add into it.
     """
     states = iter(states)
     x = next(states)
-    integral = np.zeros_like(x)
+    integral = np.zeros(x.shape)  # C order: zeros_like would copy a broadcast x0's order
+    term = np.empty_like(integral)
     yield x, integral
-    for i, (h, nxt) in enumerate(zip(dt, states)):
-        term = x * h
-        integral = term if i == 0 else np.add(integral, term, out=integral)
-        x = nxt
+    for i, h in enumerate(dt):
+        if i == 0:
+            np.multiply(x, h, out=integral)
+        else:
+            integral += np.multiply(x, h, out=term)
+        x = next(states, None)
+        if x is None:
+            return
         yield x, integral
 
 
@@ -190,36 +197,58 @@ def pq_recursion(source, frame: FrameMatrix, t: float, u, N: int) -> PQState:
     ``REGION_EPS``; NaN is outside) and every flow value in its domain; a
     violation names the lane, the step and, for the half-space, the component.
     """
+    return _pq_lockstep(source, frame, t, u, [N])[0]
+
+
+def _pq_lockstep(source, frame: FrameMatrix, t: float, u, ns: Sequence[int]) -> list[PQState]:
+    """:func:`pq_recursion` at every N of ``ns`` in lockstep: one flow call per step.
+
+    At step k every entry with k < N - 1 shrinks its own q by (id - h_N K),
+    and one ``source.on_grid`` call evaluates all of them, its t grid the
+    ascending step sizes h_N and its lanes the entries' stacks one after
+    another; each entry reads its own row and lanes.  From a closed flow
+    each entry's states equal its own run's bit for bit; an integrating
+    source shares its steps across lanes, so there they agree to rounding.
+    Returns the states in the order of ``ns``.
+    """
     dims = frame.dims
     u_arr = np.asarray(u, dtype=np.complex128)
     if u_arr.ndim != 2 or u_arr.shape[1] != dims.d:
         raise ValueError(f"u must be a (k, {dims.d}) stack of arguments, got shape {u_arr.shape}")
     if np.max(np.abs(u_arr.real), initial=0.0) > REGION_EPS:
         raise ValueError("the recursion is defined for purely imaginary arguments")
-    if N < 1:
+    if min(ns) < 1:
         raise ValueError("N must be at least 1")
     if t <= 0:
         raise ValueError("t must be positive")
-    h = t / N
-    shrink_rows = (np.eye(dims.d) - h * frame.K).T  # q @ shrink_rows is (id - hK) q per lane
-
-    p = np.ones(len(u_arr), dtype=np.complex128)
-    q = u_arr.copy()
-    for k in range(N - 1):
-        v = q @ shrink_rows
-        outside = outside_half_space(v, dims)
-        if outside.any():
-            lane, bad = np.argwhere(outside)[0]
-            raise FrameRecursionError(
-                f"intermediate argument of lane {lane} left the admissible set at step "
-                f"k={k}, component {bad} (value {v[lane, bad]})")
-        row = source.on_grid([h], v)[0]
-        for lane, ev in enumerate(row):
-            if not ev.in_Q:
-                raise FrameRecursionError(f"flow of lane {lane} left its domain at step k={k}")
-        p = np.array([ev.phi for ev in row]) * p
-        q = np.array([ev.psi for ev in row])
-    return PQState(N, h, p, q)
+    # one entry per distinct N, in descending N: its h = t / N then ascends
+    entries = sorted(set(ns), reverse=True)
+    hs = [t / n for n in entries]
+    shrinks = [(np.eye(dims.d) - h * frame.K).T for h in hs]  # q @ shrink is (id - hK) q per lane
+    lanes = len(u_arr)
+    ps = [np.ones(lanes, dtype=np.complex128) for _ in entries]
+    qs = [u_arr.copy() for _ in entries]
+    for k in range(entries[0] - 1):
+        active = [e for e, n in enumerate(entries) if k < n - 1]
+        vs = [qs[e] @ shrinks[e] for e in active]
+        for e, v in zip(active, vs):
+            outside = outside_half_space(v, dims)
+            if outside.any():
+                lane, bad = np.argwhere(outside)[0]
+                raise FrameRecursionError(
+                    f"intermediate argument of lane {lane} left the admissible set at step "
+                    f"k={k} of N={entries[e]}, component {bad} (value {v[lane, bad]})")
+        rows = source.on_grid([hs[e] for e in active], np.concatenate(vs))
+        for r, (e, row) in enumerate(zip(active, rows)):
+            cells = row[r * lanes:(r + 1) * lanes]
+            for lane, ev in enumerate(cells):
+                if not ev.in_Q:
+                    raise FrameRecursionError(
+                        f"flow of lane {lane} left its domain at step k={k} of N={entries[e]}")
+            ps[e] = np.array([ev.phi for ev in cells]) * ps[e]
+            qs[e] = np.array([ev.psi for ev in cells])
+    states = {n: PQState(n, h, p, q) for n, h, p, q in zip(entries, hs, ps, qs)}
+    return [states[n] for n in ns]
 
 
 def pq_extrapolate(source, frame: FrameMatrix, t: float, u,
@@ -227,18 +256,20 @@ def pq_extrapolate(source, frame: FrameMatrix, t: float, u,
                    ) -> tuple[np.ndarray, np.ndarray, list[PQState]]:
     """Recursion limit by two-point Richardson extrapolation in 1/N.
 
-    ``u`` is the (k, d) stack of :func:`pq_recursion`, which runs once per
-    schedule entry on all k lanes.  The recursion converges at first order in
-    1/N, so the extrapolant 2 v(2N) - v(N) from the two largest schedule
-    entries cancels the leading error term.  Returns p (k,), q (k, d) and the
-    states in ascending N.
+    ``u`` is the (k, d) stack of :func:`pq_recursion`.  Every schedule entry
+    runs on all k lanes in lockstep, so step k costs one ``source.on_grid``
+    call for all the entries still running (the largest N takes N - 1
+    calls in all).  The recursion converges at first order in 1/N, so the
+    extrapolant 2 v(2N) - v(N) from the two largest schedule entries cancels
+    the leading error term.  Returns p (k,), q (k, d) and the states in
+    ascending N.
     """
     ns = sorted(int(n) for n in N_schedule)
     if len(ns) < 2:
         raise ValueError("need at least two N values to extrapolate")
     if ns[-1] != 2 * ns[-2]:
         raise ValueError("the two largest N values must differ by a factor of 2")
-    states = [pq_recursion(source, frame, t, u, n) for n in ns]
+    states = _pq_lockstep(source, frame, t, u, ns)
     return 2 * states[-1].p - states[-2].p, 2 * states[-1].q - states[-2].q, states
 
 

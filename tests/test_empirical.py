@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from affineflow import models
 from affineflow.core import Dims
 from affineflow.empirical import (
     BranchContinuityError,
@@ -14,7 +15,7 @@ from affineflow.empirical import (
     recover_phi_psi,
     semihomogeneity_test,
 )
-from affineflow.models import make_heston_like
+from affineflow.models import _sub_seeds, make_heston_like
 
 
 def test_ecf_estimate_validation():
@@ -168,6 +169,32 @@ def test_semihomogeneity_pass_and_fail(heston0):
     failing = semihomogeneity_test(drifting, drifting.dims, 0.5, u, n_paths=4000, seed=12)
     assert not failing.passed
     assert failing.max_violation > 3.0
+
+
+def test_semihomogeneity_draws_only_the_scored_starts(heston1):
+    """The origin and the free unit vector are drawn, the cone start is not, and
+    each scored number is recover_phi_psi's free component bit for bit."""
+    starts = []
+
+    def source(x0, times, n_paths, seed):
+        starts.append((tuple(x0), seed))
+        return models.sample_grid(heston1, x0, times, n_paths, seed)
+
+    u = np.array([-0.5 + 0.3j, 0.8j])
+    # a threshold below every score keeps the witness in the report
+    report = semihomogeneity_test(source, heston1.dims, 0.5, u, n_paths=600, seed=21,
+                                  threshold=-1.0)
+    seeds = _sub_seeds(21, 1 + heston1.dims.d)  # one per start: origin, cone, free
+    assert starts == [((0.0, 0.0), seeds[0]), ((0.0, 1.0), seeds[2])]
+    ev = recover_phi_psi(heston1, heston1.dims, [0.5], [u], n_paths=600, seed=21)[-1][0]
+    (witness,) = report.witnesses
+    assert witness["inputs"]["component"] == 1
+    assert witness["observed"]["psi_k"] == ev.psi[1]
+    assert witness["observed"]["stderr"] == ev.psi_stderr[1]
+    assert witness["observed"]["defect"] == abs(ev.psi[1] - u[1])
+    assert report.max_violation == abs(ev.psi[1] - u[1]) / ev.psi_stderr[1]
+    with pytest.raises(ValueError, match="positive"):
+        semihomogeneity_test(source, heston1.dims, 0.0, u, n_paths=600, seed=21)
 
 
 def test_semihomogeneity_vacuous_without_free_part(cir):

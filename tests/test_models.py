@@ -130,6 +130,56 @@ def test_block_b_draws_from_spawned_stream_b(name, cir, levy, heston0, control):
                           expected[start:start + n])
 
 
+def test_increment_walks_equal_the_start_plus_a_cumsum(levy, control):
+    """The Gaussian and control walks sum their increments per step, as np.cumsum does."""
+    times = np.array([0.0, 0.1, 0.25, 0.3, 0.5])
+    dts = np.diff(times)
+    for model, x0 in ((levy, np.array([0.3, -0.2])), (control, np.array([0.7]))):
+        xi = np.empty((2, models.BLOCK_PATHS, len(dts), model.dims.d))
+        for b, block in enumerate(xi):
+            np.random.default_rng(b).standard_normal(out=block)
+        xi = xi.reshape(-1, len(dts), model.dims.d)
+        if model is levy:
+            scaled = xi @ levy.sampler.scale.T
+            incr = dts[:, None] * levy.sampler.drift + scaled * np.sqrt(dts)[:, None]
+            expected = x0 + np.cumsum(incr, axis=1)
+        else:
+            expected = x0[0] ** 2 + np.cumsum(xi[..., 0] * np.sqrt(dts), axis=1)[..., None]
+        rngs = [np.random.default_rng(b) for b in range(2)]
+        walked = np.stack([x.copy() for x in model.sampler.walk(x0, times, rngs)], axis=1)
+        assert np.array_equal(walked, expected), model.name
+
+
+def test_heston_walk_equals_the_plain_euler_formula(heston1):
+    """The buffered Heston substep gives the bits of the formula written on fresh arrays."""
+    sampler, x0 = heston1.sampler, np.array([0.02, 0.4])
+    times = np.array([0.0, 0.0025, 0.01, 0.05])  # 51 substeps cross the noise window
+    dts, counts = sampler._substep_plan(times)
+    streams = [np.random.default_rng(b) for b in range(2)]
+    noise = [rng.standard_normal((int(counts.sum()), 2, models.BLOCK_PATHS)) for rng in streams]
+    v = np.full((2, models.BLOCK_PATHS), x0[0])
+    y = np.full((2, models.BLOCK_PATHS), x0[1])
+    expected, pos = [], 0
+    for dt, count in zip(dts, counts):
+        eta = dt / count
+        for _ in range(count):
+            xi1 = np.stack([block[pos, 0] for block in noise])
+            xi2 = np.stack([block[pos, 1] for block in noise])
+            vp = np.maximum(v, 0.0)
+            sq = np.sqrt(vp) * math.sqrt(eta)
+            dw1 = sq * xi1
+            v = v + (sampler.a * eta - (sampler.b * eta) * vp + sampler.sigma * dw1)
+            y = y * (1.0 - sampler.lam * eta)
+            y = y + (sampler.rho * dw1 + sampler.rho_c * sq * xi2)
+            pos += 1
+        expected.append(np.stack((np.maximum(v, 0.0), y), axis=-1).reshape(-1, 2))
+    rngs = [np.random.default_rng(b) for b in range(2)]
+    walked = [x.copy() for x in sampler.walk(x0, times, rngs)]
+    assert len(walked) == len(expected)
+    for got, want in zip(walked, expected):
+        assert np.array_equal(got, want)
+
+
 def test_seed_sequence_root_spawns_its_block_streams(levy):
     root = np.random.SeedSequence(9).spawn(4)[3]
     stream = np.random.default_rng(np.random.SeedSequence(entropy=9, spawn_key=(3, 2)))

@@ -217,7 +217,8 @@ def test_pq_stack_matches_one_row_runs(heston1):
 
 
 def test_pq_recursion_names_the_failing_lane():
-    """Only lane 1 escapes the half-space and only lane 2 leaves the domain; each is named."""
+    """Only lane 1 escapes the half-space and only lane 2 leaves the domain; each is
+    named with its step, and in a lockstep schedule with its N."""
 
     def escaping(t, u):
         u_arr = np.asarray(u, dtype=np.complex128)
@@ -237,6 +238,47 @@ def test_pq_recursion_names_the_failing_lane():
         pq_recursion(ClosedFlowSource(escaping), frame, 0.5, us, N=4)
     with pytest.raises(FrameRecursionError, match="lane 2 left its domain at step k=0"):
         pq_recursion(ClosedFlowSource(exiting), frame, 0.5, us, N=4)
+    with pytest.raises(FrameRecursionError,
+                       match="lane 1 left the admissible set at step k=1 of N=8"):
+        pq_extrapolate(ClosedFlowSource(escaping), frame, 0.5, us, N_schedule=(4, 8))
+    with pytest.raises(FrameRecursionError, match="lane 2 left its domain at step k=0 of N=8"):
+        pq_extrapolate(ClosedFlowSource(exiting), frame, 0.5, us, N_schedule=(4, 8))
+
+
+def test_pq_extrapolate_lockstep_equals_one_run_per_n(heston0, heston1):
+    """Stepping the schedule in lockstep gives each N its own run's states: bit for
+    bit from a closed flow, within 1e-12 from the ODE, whose lanes share steps."""
+    us = np.array([[0.4j, 0.5j], [-0.7j, 0.9j], [1.0j, -0.3j]])
+    for model, source, tol in ((heston0, ClosedFlowSource(heston0.closed_flow), 0.0),
+                               (heston1, OdeFlowSource(heston1.gen, heston1.dims), 1e-12)):
+        frame = build_frame(model.beta, model.dims)
+        _, _, states = pq_extrapolate(source, frame, 0.5, us, N_schedule=(16, 8, 8, 32))
+        assert [s.N for s in states] == [8, 8, 16, 32]
+        for state in states:
+            single = pq_recursion(source, frame, 0.5, us, state.N)
+            assert state.h == single.h
+            assert np.max(np.abs(state.p - single.p)) <= tol, (model.name, state.N)
+            assert np.max(np.abs(state.q - single.q)) <= tol, (model.name, state.N)
+
+
+def test_left_integrals_allow_one_rewritten_buffer():
+    """A state source that rewrites one buffer in place integrates as fresh arrays do."""
+    rng = np.random.default_rng(3)
+    xs = rng.standard_normal((6, 5, 2))
+    dt = rng.uniform(0.1, 0.2, 5)
+
+    def rewritten():
+        buf = np.empty((5, 2))
+        for x in xs:
+            buf[:] = x
+            yield buf
+
+    fresh = [(x.copy(), i.copy()) for x, i in movingframe._left_integrals(iter(xs), dt)]
+    reused = [(x.copy(), i.copy()) for x, i in movingframe._left_integrals(rewritten(), dt)]
+    assert len(fresh) == len(reused) == 6
+    for (xa, ia), (xb, ib) in zip(fresh, reused):
+        assert np.array_equal(xa, xb) and np.array_equal(ia, ib)
+    assert np.array_equal(fresh[-1][1], np.cumsum(xs[:-1] * dt[:, None, None], axis=0)[-1])
 
 
 HESTON_US = np.array([[0.4j, 0.5j], [-0.7j, 0.9j], [1.0j, -0.3j]])
@@ -414,7 +456,8 @@ def test_frame_pipeline_extracts_beta_when_missing(heston1):
 
 
 def test_frame_pipeline_steps_every_u_in_one_flow_call(heston1, monkeypatch):
-    """Three u cost the recursion as many flow calls as one: every u is a lane."""
+    """Three u cost the recursion as many flow calls as one: every u is a lane,
+    and every N of the schedule steps in the same call."""
     calls = []
     on_grid = flow.flow_on_grid
 
@@ -424,14 +467,13 @@ def test_frame_pipeline_steps_every_u_in_one_flow_call(heston1, monkeypatch):
 
     monkeypatch.setattr(flow, "flow_on_grid", counting)
     us = [np.array([0.4j, 0.5j]), np.array([-0.7j, 0.9j]), np.array([1.0j, -0.3j])]
-    counts = []
     for u_set in (us[:1], us):
         calls.clear()
         frame_pipeline(heston1, 0.5, u_set, [0.3, 0.0], n_paths=200, N_schedule=(8, 16),
                        seed=5, n_sample_paths=0)
-        assert set(calls) == {len(u_set)}
-        counts.append(len(calls))
-    assert counts == [7 + 15 + 1] * 2  # the recursion at N = 8, 16, then the endpoint ODE
+        k = len(u_set)
+        # 7 steps of N = 8 and 16 together, 8 more of N = 16 alone, then the endpoint ODE
+        assert calls == [2 * k] * 7 + [k] * 8 + [k]
 
 
 def test_frame_pipeline_operational_failures(heston1):
