@@ -41,7 +41,6 @@ from .models import uniform_times
 from .movingframe import FramePipelineError, FrameRecursionError, frame_pipeline
 from .verify import (
     CheckReport,
-    MatrixLogError,
     _scored_report,
     _z_score,
     TestFunction,
@@ -70,7 +69,7 @@ _PROBE_SEED = 2024  # fixed probe-point stream: tables must not drift with sim.s
 
 # The package's own numerical failures plus arithmetic errors; any other
 # exception is a bug and propagates with its traceback.
-_NUMERICAL_ERRORS = (FlowIntegrationError, MatrixLogError, FrameRecursionError,
+_NUMERICAL_ERRORS = (FlowIntegrationError, FrameRecursionError,
                      FramePipelineError, BranchContinuityError, np.linalg.LinAlgError,
                      FloatingPointError, ZeroDivisionError, OverflowError)
 

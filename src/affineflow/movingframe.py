@@ -427,7 +427,11 @@ def frame_pipeline(model: AffineModel, t: float, u_set, x0, n_paths: int,
         if model.beta is not None:
             beta, beta_origin = np.asarray(model.beta, dtype=float), "model"
         else:
-            beta, _rep = extract_beta(flow_src, dims)
+            beta, beta_report = extract_beta(flow_src, dims)
+            if not beta_report.passed:
+                raise FramePipelineError(
+                    "frame", f"drift extraction failed: violation {beta_report.max_violation:.3e} "
+                    f"> threshold {beta_report.threshold:.3e}; witness {beta_report.witnesses[0]}")
             beta_origin = "extracted"
         frame = build_frame(beta, dims)
     except (ValueError, FlowIntegrationError) as exc:

@@ -251,108 +251,61 @@ def check_property_A(source, t_grid, u_set, dims: Dims) -> CheckReport:
 # linear structure on the free components
 
 
-class MatrixLogError(RuntimeError):
-    """Raised when the probed one-step matrix admits no principal logarithm."""
-
-
-# Bounds of the principal-log kernel: square roots taken, Denman-Beavers steps
-# per root; and the Mercator terms summed once ||X - I||_1 <= 1/4
-_LOG_MAX_ROOTS = 64
-_SQRT_MAX_STEPS = 64
-_MERCATOR_TERMS = 30
-
-
-def _sqrtm_db(x: np.ndarray) -> np.ndarray:
-    """Principal square root by the Denman-Beavers iteration."""
-    y, z = x, np.eye(len(x))
-    try:
-        for _ in range(_SQRT_MAX_STEPS):
-            y_next = (y + np.linalg.inv(z)) / 2
-            z = (z + np.linalg.inv(y)) / 2
-            step = np.linalg.norm(y_next - y, 1)
-            y = y_next
-            # the rate is quadratic, so once a step is this small the new
-            # iterate is converged to rounding
-            if step <= 1e-10 * np.linalg.norm(y, 1):
-                return y
-    except np.linalg.LinAlgError as exc:
-        raise MatrixLogError(f"square root met a singular iterate ({exc})") from None
-    raise MatrixLogError(f"square root did not converge in {_SQRT_MAX_STEPS} steps")
-
-
-def _principal_log(x: np.ndarray) -> np.ndarray:
-    """Principal logarithm of a real square matrix, real-valued.
-
-    Inverse scaling and squaring (Al-Mohy and Higham, SIAM J. Sci. Comput.
-    34(4), 2012): take k square roots until ``||X - I||_1 <= 1/4``, sum the
-    Mercator series of ``log(I + E)`` by Horner's rule and scale by 2^k.
-    Positive diagonal input is exact: ``np.log`` of the diagonal.  Raises
-    :class:`MatrixLogError` when a square root or the root count exceeds its
-    bound, as it does for eigenvalues on the closed negative real axis.
-    """
-    if not np.all(np.isfinite(x)):
-        raise MatrixLogError("matrix logarithm needs finite entries")
-    diag = np.diagonal(x)
-    if not np.any(x - np.diag(diag)) and np.all(diag > 0):
-        return np.diag(np.log(diag))
-    ident = np.eye(len(x))
-    roots = 0
-    while np.linalg.norm(x - ident, 1) > 0.25:
-        if roots == _LOG_MAX_ROOTS:
-            raise MatrixLogError(f"{roots} square roots left the matrix farther than 1/4 from I")
-        x = _sqrtm_db(x)
-        roots += 1
-    e = x - ident
-    series = ident * ((-1) ** (_MERCATOR_TERMS + 1) / _MERCATOR_TERMS)
-    for j in range(_MERCATOR_TERMS - 1, 0, -1):
-        series = ident * ((-1) ** (j + 1) / j) + e @ series
-    return 2.0**roots * (e @ series)
-
-
-# extract_beta's probe time, its validation times and the seed of its validation points
-_BETA_PROBE_T = 0.5
+# extract_beta's rate steps (criterion 4's schedule), its validation times and the
+# seed of its validation points
+_BETA_H_SCHEDULE = (1e-2, 5e-3, 2.5e-3, 1.25e-3, 6.25e-4)
 _BETA_CHECK_TIMES = (0.3, 0.7, 1.4)
 _BETA_CHECK_SEED = 1234
 
 
 def extract_beta(source, dims: Dims, threshold: float = 1e-8) -> tuple[np.ndarray, CheckReport]:
-    """Recover the drift matrix of the free components from flow probes.
+    """Recover the drift matrix of the free components from the flow's rate at t = 0.
 
-    Columns of the one-step matrix are the fiber map at ``i e_j`` for free
-    unit vectors ``e_j``, divided by i; the drift matrix is its principal
-    matrix logarithm over the probe time t = 0.5.  The one-step matrix's
-    imaginary leak is one scored probe, and the error of the exponential
-    action at each point of an independent (t, u) validation grid is another.
-    For n=0 the matrix is empty and the report is vacuously passing.
+    On the free block the fiber map's rate is ``R_J(u) = beta u_J``, so column
+    j of beta is the rate :func:`~affineflow.regularity.estimate_FR` extrapolates
+    at ``i e_j`` over a five-step schedule, divided by i.  The rate columns'
+    imaginary leak is one scored probe, and the error of the exponential action
+    at each point of an independent (t, u) validation grid is another.  A flow
+    with no rate at 0 (the tableau does not converge, or the flow leaves its
+    domain) is not regular there: each such column is an infinite probe whose
+    witness carries the estimator's message, and beta is NaN.  For n=0 the
+    matrix is empty and the report is vacuously passing.
+
+    The validation error is absolute, so the rate's truncation error, amplified
+    by ``exp(t beta)`` up to t = 1.4, fails strongly explosive drifts (max Re of
+    an eigenvalue above about 5) at the default threshold.
     """
+    # regularity imports this module for CheckReport, so the import is deferred
+    from .regularity import FRExtrapolationError, estimate_FR
+
     n = dims.n
     if n == 0:
         beta = np.zeros((0, 0))
         return beta, CheckReport("property_b", "no free components (n=0), vacuous", 0.0, threshold)
+    grid_spec = (f"rate at t=0 over steps {list(_BETA_H_SCHEDULE)}, "
+                 f"validation times {list(_BETA_CHECK_TIMES)} x 3 imaginary points")
 
-    cols = []
+    cols, failed = [], []
     for j in range(n):
         e = np.zeros(dims.d, dtype=np.complex128)
         e[dims.m + j] = 1j
-        ev = source.on_grid([_BETA_PROBE_T], [e])[0][0]
-        cols.append(ev.psi[dims.J] / 1j)
-    m_mat = np.column_stack(cols)
-    m_real = m_mat.real
+        try:
+            cols.append(estimate_FR(source, e, _BETA_H_SCHEDULE).R_hat[dims.J] / 1j)
+        except FRExtrapolationError as exc:
+            failed.append((math.inf, {
+                "inputs": {"t": 0.0, "u": e},
+                "observed": {"column": j, "error": str(exc)},
+                "expected": "a rate at t = 0",
+            }))
+    if failed:
+        return np.full((n, n), np.nan), _scored_report("property_b", grid_spec, threshold, failed)
+    rate = np.column_stack(cols)
+    beta = rate.real
 
-    eigvals = np.linalg.eigvals(m_real)
-    if np.any(np.abs(eigvals) < 1e-300):
-        raise MatrixLogError(f"one-step matrix is singular (eigenvalues {eigvals})")
-    on_cut = (eigvals.real <= 0) & (np.abs(eigvals.imag) <= 1e-12 * np.abs(eigvals.real))
-    if np.any(on_cut):
-        raise MatrixLogError(
-            f"one-step matrix has eigenvalues on the closed negative real axis ({eigvals})"
-        )
-    beta = _principal_log(m_real) / _BETA_PROBE_T
-
-    imag_leak = float(np.max(np.abs(m_mat.imag)))
+    imag_leak = float(np.max(np.abs(rate.imag)))
     scored = [(imag_leak, {
-        "inputs": {"t": _BETA_PROBE_T, "u": "i e_j for each free component j"},
-        "observed": {"one_step_matrix": m_mat, "imag_leak": imag_leak},
+        "inputs": {"t": 0.0, "u": "i e_j for each free component j"},
+        "observed": {"rate_matrix": rate, "imag_leak": imag_leak},
         "expected": f"imaginary parts <= {threshold}",
     })]
     rng = np.random.default_rng(_BETA_CHECK_SEED)
@@ -366,10 +319,7 @@ def extract_beta(source, dims: Dims, threshold: float = 1e-8) -> tuple[np.ndarra
                 "observed": ev.psi[dims.J],
                 "expected": predicted,
             }))
-    return beta, _scored_report(
-        "property_b",
-        f"probe t={_BETA_PROBE_T}, validation times {list(_BETA_CHECK_TIMES)} x 3 imaginary points",
-        threshold, scored)
+    return beta, _scored_report("property_b", grid_spec, threshold, scored)
 
 
 @dataclass(frozen=True)

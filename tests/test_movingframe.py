@@ -455,6 +455,23 @@ def test_frame_pipeline_extracts_beta_when_missing(heston1):
     assert result.transformed_sample.shape[0] == 0
 
 
+def test_frame_pipeline_stops_on_a_failed_drift_extraction(heston1):
+    """A free rate with a real offset leaves the domain at once; stage 1 says so."""
+
+    def offset_R(u):
+        r = np.array(heston1.gen.R(u), dtype=np.complex128)
+        r[..., 1] += 1e-6
+        return r
+
+    leaving = dataclasses.replace(heston1, beta=None,
+                                  gen=models.GeneratorPair(heston1.gen.F, offset_R))
+    with pytest.raises(FramePipelineError, match="drift extraction failed") as info:
+        frame_pipeline(leaving, 0.5, [np.array([0.4j, 0.5j])], [0.3, 0.0],
+                       n_paths=100, N_schedule=(32, 64), seed=5, n_sample_paths=0)
+    assert info.value.stage == "frame"
+    assert "flow left its domain" in str(info.value)
+
+
 def test_frame_pipeline_steps_every_u_in_one_flow_call(heston1, monkeypatch):
     """Three u cost the recursion as many flow calls as one: every u is a lane,
     and every N of the schedule steps in the same call."""

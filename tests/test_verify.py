@@ -12,7 +12,6 @@ from affineflow.models import GeneratorPair, make_heston_like
 from affineflow import verify
 from affineflow.verify import (
     CheckReport,
-    MatrixLogError,
     check_monotonicity,
     check_property_A,
     check_semiflow,
@@ -158,19 +157,27 @@ def test_extract_beta_vacuous_without_free_part(cir):
 
 
 def test_extract_beta_rejects_reflection():
-    """A fiber map that negates its argument has no real one-step logarithm."""
+    """A fiber map that negates its argument is not differentiable at t = 0: a failing probe."""
 
     def reflecting(t, u):
         u_arr = np.asarray(u, dtype=np.complex128)
         return FlowEvaluation(float(t), u_arr, 1 + 0j, -u_arr, 0j)
 
-    with pytest.raises(MatrixLogError):
-        extract_beta(ClosedFlowSource(reflecting), Dims(0, 1))
+    beta, report = extract_beta(ClosedFlowSource(reflecting), Dims(0, 1))
+    assert np.all(np.isnan(beta))
+    assert not report.passed and math.isinf(report.max_violation)
+    assert len(report.witnesses) == 1
+    assert report.witnesses[0]["observed"]["column"] == 0
+    assert "stopped decreasing" in report.witnesses[0]["observed"]["error"]
 
 
-def test_extract_beta_recovers_a_rotating_drift():
-    """A non-diagonal drift goes through the general log kernel and comes back real."""
-    beta_true = np.array([[-0.3, -1.2], [0.8, -0.1]])
+@pytest.mark.parametrize("beta_true", [
+    [[-0.3, -1.2], [0.8, -0.1]],
+    [[-0.1, -8.0], [8.0, -0.1]],  # 4 rad (> pi) by t = 0.5: a principal log misses by 2 pi / 0.5
+], ids=["slow", "fast"])
+def test_extract_beta_recovers_a_rotating_drift(beta_true):
+    """A non-diagonal drift comes back real from the rate columns at t = 0."""
+    beta_true = np.array(beta_true)
 
     def rotating(t, u):
         u_arr = np.asarray(u, dtype=np.complex128)
@@ -178,16 +185,44 @@ def test_extract_beta_recovers_a_rotating_drift():
 
     beta, report = extract_beta(ClosedFlowSource(rotating), Dims(0, 2))
     assert np.isrealobj(beta)
-    assert np.max(np.abs(beta - beta_true)) < 1e-12
-    assert report.passed and report.max_violation < 1e-12
+    assert np.max(np.abs(beta - beta_true)) < 1e-10
+    assert report.passed
+
+
+def test_extract_beta_recovers_random_drifts():
+    """The rate route on closed flows u -> exp(tB) u for random real drifts, n <= 3.
+
+    Drifts are drawn with ||B||_1 <= 10 and max Re of an eigenvalue at most 2.
+    The validation probe's error is absolute and exp(tB) amplifies the rate's
+    truncation error up to t = 1.4, so strongly explosive drifts (real parts
+    above about 5) can fail the report at its default threshold while beta
+    itself is still close; they are out of this test's range.
+    """
+    rng = np.random.default_rng(2003)
+    tested = 0
+    while tested < 200:
+        n = int(rng.integers(1, 4))
+        b = rng.standard_normal((n, n))
+        b *= float(rng.uniform(0.1, 10.0)) / np.linalg.norm(b, 1)
+        if np.max(np.linalg.eigvals(b).real) > 2.0:
+            continue
+        tested += 1
+
+        def closed(t, u, b=b):
+            u_arr = np.asarray(u, dtype=np.complex128)
+            return FlowEvaluation(float(t), u_arr, 1 + 0j, matrix_exp(b, t) @ u_arr, 0j)
+
+        beta, report = extract_beta(ClosedFlowSource(closed), Dims(0, n))
+        assert np.max(np.abs(beta - b)) <= 1e-9, (b, beta)
+        assert report.passed, (b, report.max_violation)
 
 
 def test_extract_beta_imaginary_leak_fails_with_a_witness():
-    """A one-step matrix with an imaginary part above the threshold is itself a failing probe."""
+    """Rate columns with an imaginary part above the threshold are themselves a failing probe."""
 
     def leaking(t, u):
         u_arr = np.asarray(u, dtype=np.complex128)
-        leak = 1e-6 if t == 0.5 else 0.0  # only at the probe time; validation is exact
+        leak = 1e-6 * t if t <= 0.01 else 0.0  # only at the rate's steps; validation is exact
         return FlowEvaluation(float(t), u_arr, 1 + 0j, math.exp(-t) * u_arr + leak, 0j)
 
     beta, report = extract_beta(ClosedFlowSource(leaking), Dims(0, 1))
@@ -195,6 +230,7 @@ def test_extract_beta_imaginary_leak_fails_with_a_witness():
     assert not report.passed
     assert report.max_violation == pytest.approx(1e-6)
     assert len(report.witnesses) == 1
+    assert report.witnesses[0]["inputs"]["t"] == 0.0
     assert report.witnesses[0]["observed"]["imag_leak"] == report.max_violation
 
 
@@ -213,58 +249,6 @@ def test_scored_report_rule():
     assert verify._z_score(2.0, 0.5) == 4.0
     assert verify._z_score(0.0, 0.0) == 0.0
     assert math.isinf(verify._z_score(1e-300, 0.0))
-
-
-def test_principal_log_exact_on_diagonal_input():
-    assert np.array_equal(verify._principal_log(np.eye(3)), np.zeros((3, 3)))
-    diag = np.array([0.5, 1.0, 7.0])
-    assert np.array_equal(verify._principal_log(np.diag(diag)), np.diag(np.log(diag)))
-
-
-def test_principal_log_frozen_cases():
-    jordan = np.array([[1.0, 1.0], [0.0, 1.0]])
-    assert np.allclose(verify._principal_log(jordan), [[0.0, 1.0], [0.0, 0.0]], atol=1e-15)
-    rotation = np.array([[0.0, -1.0], [1.0, 0.0]])
-    for theta in (0.3, math.pi / 2, 3.0):
-        log_r = verify._principal_log(matrix_exp(rotation, theta))
-        assert np.isrealobj(log_r)
-        assert np.allclose(log_r, theta * rotation, atol=1e-13), theta
-
-
-def test_principal_log_inverts_matrix_exp():
-    rng = np.random.default_rng(2012)
-    for _ in range(200):
-        n = int(rng.integers(1, 5))
-        a = rng.standard_normal((n, n))
-        m = matrix_exp(a * float(rng.uniform(0.05, 2.0)) / np.linalg.norm(a, 1))
-        log_m = verify._principal_log(m)
-        assert np.isrealobj(log_m)
-        rel = np.linalg.norm(matrix_exp(log_m) - m, 1) / np.linalg.norm(m, 1)
-        assert rel <= 1e-13, (n, rel)
-
-
-def test_principal_log_matches_scipy_reference():
-    linalg = pytest.importorskip("scipy.linalg")
-    rng = np.random.default_rng(34)
-    for _ in range(200):
-        n = int(rng.integers(1, 5))
-        a = rng.standard_normal((n, n))
-        m = matrix_exp(a * float(rng.uniform(0.05, 3.0)) / np.linalg.norm(a, 1))
-        expected = np.real(linalg.logm(m))
-        rel = np.linalg.norm(verify._principal_log(m) - expected, 1) / np.linalg.norm(expected, 1)
-        assert rel <= 1e-12, (n, rel)
-
-
-@pytest.mark.parametrize("m", [
-    np.array([[-2.0]]),                      # no real square root: the iteration never settles
-    np.array([[-1.0, 0.0], [0.0, 2.0]]),     # negative eigenvalue on the diagonal
-    np.array([[0.0]]),                       # singular
-    np.array([[1.0, 1e300], [0.0, 1.0]]),    # needs ~1000 square roots to reach I
-    np.array([[np.nan, 0.0], [0.0, 1.0]]),
-], ids=["negative", "negative-diagonal", "singular", "far-from-identity", "nan"])
-def test_principal_log_raises_instead_of_hanging(m):
-    with pytest.raises(MatrixLogError):
-        verify._principal_log(m)
 
 
 def test_fit_linearity_recovers_decay_factor():
