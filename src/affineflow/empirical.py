@@ -164,27 +164,33 @@ def _log_track(series, u_arr, x0) -> np.ndarray:
 
 
 def _start_logs(source, dims: Dims, ts: np.ndarray, u_arrs: list, n_paths: int, seed: int,
-                starts) -> tuple[list, list]:
+                starts, base=None) -> tuple[list, list, np.ndarray | None]:
     """Transform estimates and their branch-continuous logs at the starts ``starts``.
 
-    Start 0 is the origin and start 1 + k the k-th coordinate unit vector.
-    Start j draws one path set for every t of ``ts`` (which begins at 0) and
-    every u, from seed ``_sub_seeds(seed, 1 + d)[j]`` whichever other starts
-    are drawn, so a start's numbers do not depend on which others are.
-    Returns ``estimates[u][s][i]`` (:class:`EcfEstimate` at ``ts[i]``) and
-    ``logs[u][s]`` (:func:`_log_track`), s running over ``starts`` in order.
+    Start 0 is ``base`` (the origin by default) and start 1 + k is ``base``
+    plus the k-th coordinate unit vector.  Start j draws one path set for
+    every t of ``ts`` (which begins at 0) and every u, from seed
+    ``_sub_seeds(seed, 1 + d)[j]`` whichever other starts are drawn, so a
+    start's numbers do not depend on which others are.  Returns
+    ``estimates[u][s][i]`` (:class:`EcfEstimate` at ``ts[i]``),
+    ``logs[u][s]`` (:func:`_log_track`), s running over ``starts`` in order,
+    and the base start's states at ``ts[-1]`` (None if start 0 is not drawn).
     """
     src = _as_state_source(source)
-    points = [np.zeros(dims.d), *np.eye(dims.d)]
+    x_base = np.zeros(dims.d) if base is None else np.asarray(base, dtype=float)
+    points = [x_base, *(x_base + e for e in np.eye(dims.d))]
     seeds = _sub_seeds(seed, len(points))
     by_u = [[] for _ in u_arrs]
+    base_end = None
     for j in starts:
         values = src(points[j], ts, n_paths, seeds[j])
+        if j == 0:
+            base_end = values[:, -1, :]
         for estimates, u_arr in zip(by_u, u_arrs):
             estimates.append([ecf_from_states(values[:, i, :], u_arr, t) for i, t in enumerate(ts)])
     logs = [[_log_track(series, u_arr, points[j]) for series, j in zip(estimates, starts)]
             for u_arr, estimates in zip(u_arrs, by_u)]
-    return by_u, logs
+    return by_u, logs, base_end
 
 
 def recover_phi_psi(source, dims: Dims, t_grid, u_list, n_paths: int, seed: int) -> list:
@@ -210,7 +216,7 @@ def recover_phi_psi(source, dims: Dims, t_grid, u_list, n_paths: int, seed: int)
     if not anchored:
         ts = np.concatenate(([0.0], ts))
     u_arrs = [np.asarray(u, dtype=np.complex128) for u in u_list]
-    by_u, logs_by_u = _start_logs(source, dims, ts, u_arrs, n_paths, seed, range(1 + dims.d))
+    by_u, logs_by_u, _ = _start_logs(source, dims, ts, u_arrs, n_paths, seed, range(1 + dims.d))
 
     rows = [[] for _ in ts]
     for u_arr, estimates, logs in zip(u_arrs, by_u, logs_by_u):
@@ -258,14 +264,34 @@ def semihomogeneity_test(source, dims: Dims, t: float, u, n_paths: int, seed: in
     the path set :func:`recover_phi_psi` draws for it, so every number
     equals that function's free components at ``t``.
     """
-    if dims.n == 0:
-        return CheckReport("semihomogeneity", "no free components (n=0), vacuous", 0.0, threshold)
+    if dims.n == 0:  # nothing to score, and nothing is drawn
+        return _vacuous_semihomogeneity(threshold)
+    return _semihomogeneity(source, dims, t, u, n_paths, seed, threshold)[0]
+
+
+def _vacuous_semihomogeneity(threshold: float) -> CheckReport:
+    return CheckReport("semihomogeneity", "no free components (n=0), vacuous", 0.0, threshold)
+
+
+def _semihomogeneity(source, dims: Dims, t: float, u, n_paths: int, seed: int,
+                     threshold: float, base=None) -> tuple[CheckReport, np.ndarray]:
+    """:func:`semihomogeneity_test` on starts shifted by ``base``, and the base start's states at t.
+
+    The log-transform is affine in the start, so the quotient
+    log g(base + e_k) - log g(base) is psi_k from any base in the state
+    space.  The base start is drawn even when n = 0, where the report is
+    vacuous, so a caller can read its states.
+    """
     if not t > 0:
         raise ValueError("t must be positive")
     u_arr = np.asarray(u, dtype=np.complex128)
     free = range(dims.m, dims.d)
-    (estimates,), (logs,) = _start_logs(source, dims, np.array([0.0, float(t)]), [u_arr],
-                                        n_paths, seed, [0, *(1 + k for k in free)])
+    u_arrs = [u_arr] if dims.n else []  # at n = 0 only the base is drawn
+    by_u, logs_by_u, base_end = _start_logs(source, dims, np.array([0.0, float(t)]), u_arrs,
+                                            n_paths, seed, [0, *(1 + k for k in free)], base)
+    if not dims.n:
+        return _vacuous_semihomogeneity(threshold), base_end
+    (estimates,), (logs,) = by_u, logs_by_u
     # the same arithmetic as recover_phi_psi's last row, on the free components
     psi = np.array([logs[1 + s][-1] - logs[0][-1] for s in range(dims.n)])
     rel = [series[-1].stderr / abs(series[-1].value) for series in estimates]
@@ -278,5 +304,7 @@ def semihomogeneity_test(source, dims: Dims, t: float, u, n_paths: int, seed: in
             "observed": {"psi_k": psi[s], "defect": defect, "stderr": psi_stderr[s]},
             "expected": f"psi_k == u_k within {threshold} sigma",
         }))
-    return _scored_report("semihomogeneity", f"t={t}, {n_paths} paths per start, probe scale 1.0",
-                          threshold, scored)
+    report = _scored_report("semihomogeneity",
+                            f"t={t}, {n_paths} paths per start, probe scale 1.0",
+                            threshold, scored)
+    return report, base_end

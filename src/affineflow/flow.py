@@ -217,13 +217,20 @@ def _initial_step(y, f, n, rtol, atol, span):
     """Smallest of the per-lane starting-step proposals over the remaining ``span``.
 
     A lane proposes 0.01 times the ratio of its scaled state and derivative
-    norms; a lane whose state or derivative vanishes proposes nothing, and
-    with no proposal at all the step is 1e-6 of the span (at least of 1).
+    norms.  The derivative norm leaves out the components that are exactly 0
+    (log phi always starts there, and so may a psi component): they have no
+    size to take 1% of.  A lane whose nonzero components do not move
+    measures all of its derivative, and a lane whose state or derivative
+    vanishes proposes nothing; with no proposal at all the step is 1e-6 of
+    the span (at least of 1).
     """
     abs_y = np.abs(y)
     sc = atol + rtol * abs_y
+    rate = (np.abs(f) / sc) ** 2
     sq0 = ((abs_y / sc) ** 2).reshape(-1, n).sum(axis=1)
-    sq1 = ((np.abs(f) / sc) ** 2).reshape(-1, n).sum(axis=1)
+    sq1 = rate.reshape(-1, n).sum(axis=1)
+    sized = np.where(abs_y > 0, rate, 0.0).reshape(-1, n).sum(axis=1)
+    sq1 = np.where(sized > 0, sized, sq1)
     ok = (sq0 > 0) & (sq1 > 0)
     h = 0.01 * math.sqrt(float((sq0[ok] / sq1[ok]).min())) if ok.any() else 1e-6 * max(span, 1.0)
     return max(min(h, span), 1e-12 * max(span, 1.0))

@@ -96,7 +96,9 @@ def estimate_FR(source, u, h_schedule=(1e-2, 5e-3, 2.5e-3),
     schedule, Richardson-extrapolated; t=0 being a boundary rules out central
     differences, and a one-step schedule is the plain quotient.  Raises
     :class:`FRExtrapolationError` when the increments do not shrink.  ``dims``
-    is accepted for callers that pass it and is not used.
+    is accepted for callers that pass it and is not used.  The whole schedule
+    is one ``source.on_grid`` call with the steps, ascending, as its t grid,
+    so an integrating source steps one solve through all of them.
 
     Sampled cells (with standard errors, from a :class:`SampledFlowSource`)
     take a one-step schedule only: extrapolating them would need the joint
@@ -111,14 +113,15 @@ def estimate_FR(source, u, h_schedule=(1e-2, 5e-3, 2.5e-3),
     if np.any(hs <= 0) or np.any(np.abs(hs[:-1] / hs[1:] - 2.0) > 1e-9):
         raise ValueError("step schedule must be positive with ratio 2")
     u_arr = np.asarray(u, dtype=np.complex128)
+    # one call: the steps ascend as its t grid, so a solve passes through them all
+    cells = [row[0] for row in source.on_grid(hs[::-1].tolist(), [u_arr])][::-1]
+    if cells[0].phi_stderr is not None and hs.size > 1:
+        raise ValueError(
+            "sampled cells take a one-step schedule: extrapolating them needs "
+            "the joint covariance of the cells, which their standard errors do not carry"
+        )
     rows = []
-    for h in hs:
-        ev = source.on_grid([float(h)], [u_arr])[0][0]
-        if ev.phi_stderr is not None and hs.size > 1:
-            raise ValueError(
-                "sampled cells take a one-step schedule: extrapolating them needs "
-                "the joint covariance of the cells, which their standard errors do not carry"
-            )
+    for h, ev in zip(hs, cells):
         if not ev.in_Q:
             raise FRExtrapolationError(f"flow left its domain at step h={h}")
         rows.append(np.concatenate([[(ev.phi - 1.0) / h], (ev.psi - u_arr) / h]))

@@ -119,6 +119,51 @@ def test_domain_exit_when_fiber_leaves_halfspace():
     assert not ev.in_Q and ev.t == 1.0
 
 
+def test_short_solve_takes_one_step_per_checkpoint(heston1):
+    """The first step is sized by psi, the state that has a size, not by log phi
+    (which starts at 0): one p/q step of frame_heston is one accepted step."""
+    calls = []
+
+    def counted_R(u):
+        calls.append(len(u))
+        return heston1.gen.R(u)
+
+    gen = GeneratorPair(heston1.gen.F, counted_R)
+    for u in ([0.4j, 0.5j], [-0.7j, 0.9j], [1.0j, -0.3j]):
+        calls.clear()
+        OdeFlowSource(gen, heston1.dims).on_grid([0.5 / 64], [np.array(u)])
+        assert len(calls) == 7, (u, len(calls))  # the first rate and six stages, no rejection
+
+
+def _all_component_step(y, f, rtol, atol):
+    """The first step measured on every component, state and rate alike."""
+    sc = atol + rtol * np.abs(y)
+    return 0.01 * math.sqrt(np.sum((np.abs(y) / sc) ** 2) / np.sum((np.abs(f) / sc) ** 2))
+
+
+@pytest.mark.parametrize("model", ["heston1", "levy"])
+def test_initial_step_measures_the_components_with_a_size(model, request):
+    """A lane's rate norm leaves out the components that start at 0; a lane whose
+    nonzero components do not move (levy, R = 0) keeps the all-component rule,
+    and an all-zero lane proposes nothing."""
+    m = request.getfixturevalue(model)
+    rtol, atol, d = 1e-9, 1e-11, m.dims.d
+    y = np.zeros((2, d + 1), dtype=np.complex128)
+    y[0, :d] = [0.4j, 0.5j]
+    f = np.zeros_like(y)
+    f[:, :d] = m.gen.R(y[:, :d])
+    f[:, d] = m.gen.F(y[:, :d])
+    h = flow_module._initial_step(y.ravel(), f.ravel(), d + 1, rtol, atol, 1.0)
+    if model == "levy":
+        assert h == _all_component_step(y[0], f[0], rtol, atol)
+    else:
+        psi_only = _all_component_step(y[0, :d], f[0, :d], rtol, atol)
+        assert h == pytest.approx(psi_only, rel=1e-12)
+        assert h > 10 * _all_component_step(y[0], f[0], rtol, atol)
+    zero = flow_module._initial_step(y[1], f[1], d + 1, rtol, atol, 0.5)
+    assert zero == 1e-6
+
+
 def test_flow_on_grid_matches_pointwise(heston0):
     ts = [0.0, 0.3, 0.7, 1.2]
     us = [np.array([-0.5 + 0.2j, 0.3j]), np.array([-1.0 + 0j, -0.6j]),

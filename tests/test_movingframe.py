@@ -493,6 +493,26 @@ def test_frame_pipeline_steps_every_u_in_one_flow_call(heston1, monkeypatch):
         assert calls == [2 * k] * 7 + [k] * 8 + [k]
 
 
+def test_frame_pipeline_draws_each_path_set_once(heston1, monkeypatch):
+    """Stage 5 scores the x0 set that stage 6's quotient is based at, so heston1
+    draws 3 path sets: the sample on its own seed, then x0 and x0 + e_2 at t."""
+    draws = []
+    sample_grid_ = movingframe.sample_grid
+
+    def counting(model, x0, times, n_paths, seed):
+        draws.append((tuple(x0), len(times), n_paths, seed))
+        return sample_grid_(model, x0, times, n_paths, seed)
+
+    monkeypatch.setattr(movingframe, "sample_grid", counting)
+    result = frame_pipeline(heston1, 0.5, [np.array([0.4j, 0.5j])], [0.3, 0.0], n_paths=300,
+                            N_schedule=(8, 16), seed=5, internal_dt=1e-2, n_sample_paths=4)
+    seeds = models._sub_seeds(5, 3)
+    start_seeds = models._sub_seeds(seeds[1], 3)  # one per start: x0, x0 + e_1, x0 + e_2
+    assert draws == [((0.3, 0.0), 51, 4, seeds[0]),
+                     ((0.3, 0.0), 2, 300, start_seeds[0]), ((0.3, 1.0), 2, 300, start_seeds[2])]
+    assert result.transformed_sample.shape == (4, 51, 2)
+
+
 def test_frame_pipeline_operational_failures(heston1):
     with pytest.raises(ValueError, match="nonempty"):
         frame_pipeline(heston1, 0.5, [], [0.3, 0.0], n_paths=100)

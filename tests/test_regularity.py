@@ -101,6 +101,24 @@ def test_estimate_fr_from_samples_cir(cir):
     assert 0.0 < max(est.F_stderr, est.R_stderr[0]) <= max(1.0, abs(est.F_hat))
 
 
+def test_estimate_fr_makes_one_flow_call(heston1):
+    """A five-step schedule is one on_grid call with the steps as its ascending t grid."""
+    calls = []
+    ode = OdeFlowSource(heston1.gen, heston1.dims)
+
+    class Counting:
+        def on_grid(self, t_grid, u_list):
+            calls.append(list(t_grid))
+            return ode.on_grid(t_grid, u_list)
+
+    schedule = (1e-2, 5e-3, 2.5e-3, 1.25e-3, 6.25e-4)
+    u = np.array([-0.3 + 0.2j, 0.7j])
+    est = estimate_FR(Counting(), u, h_schedule=schedule)
+    assert calls == [sorted(schedule)]
+    assert abs(est.F_hat - heston1.gen.F(u)) < 1e-8
+    assert np.max(np.abs(est.R_hat - heston1.gen.R(u))) < 1e-8
+
+
 def test_estimate_fr_refuses_to_extrapolate_sampled_cells(cir):
     source = SampledFlowSource(cir, cir.dims, 1000, seed=7)
     with pytest.raises(ValueError, match="joint covariance"):
