@@ -3,14 +3,14 @@
 Estimates the exponential transform from Monte Carlo samples, recovers the
 scalar-factor/fiber-map pair from states started at probe points, and runs
 the sample-based structural tests (affinity of the log-transform in the start
-state, and invariance of the free components).  Statistical reports measure
-violations in units of the propagated standard error with a 3-sigma default
-threshold.
+state, and invariance of the free components), each drawing from a state
+source: a model, or any callable with a model's call signature.  Statistical
+reports measure violations in units of the propagated standard error with a
+3-sigma default threshold.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import Dims, as_state
 from .flow import FlowEvaluation
-from .models import AffineModel, _sub_seeds, sample_grid
+from .models import AffineModel, _sub_seeds
 from .verify import CheckReport, _scored_report, _z_score
 
 __all__ = [
@@ -88,17 +88,8 @@ def endpoint_states(model: AffineModel, x0, t: float, n_paths: int, seed: int) -
         raise ValueError("the horizon must be nonnegative")
     if t == 0:
         return np.tile(as_state(x0, model.dims), (n_paths, 1))
-    values = sample_grid(model, x0, np.array([0.0, float(t)]), n_paths, seed)
+    values = model(x0, np.array([0.0, float(t)]), n_paths, seed)
     return values[:, -1, :]
-
-
-def _as_state_source(source):
-    """A model or a state source as a ``(x0, record_times, n_paths, seed) -> values`` callable."""
-    if isinstance(source, AffineModel):
-        return functools.partial(sample_grid, source)
-    if callable(source):
-        return source
-    raise TypeError(f"cannot interpret {source!r} as a model or state source")
 
 
 def affine_factorization_test(source, dims: Dims, t: float, u_list, x_base, x_probe_a,
@@ -112,7 +103,6 @@ def affine_factorization_test(source, dims: Dims, t: float, u_list, x_base, x_pr
     defect is normalized by its delta-method standard error, so the violation
     is a z-score.
     """
-    src = _as_state_source(source)
     x0 = np.asarray(x_base, dtype=float)
     xa = np.asarray(x_probe_a, dtype=float)
     xb = np.asarray(x_probe_b, dtype=float)
@@ -122,7 +112,7 @@ def affine_factorization_test(source, dims: Dims, t: float, u_list, x_base, x_pr
     corners = [x0, xa, xb, xc]
     seeds = _sub_seeds(seed, 4)
     times = np.array([0.0, float(t)])
-    states = [src(c, times, n_paths, s)[:, -1, :] for c, s in zip(corners, seeds)]
+    states = [source(c, times, n_paths, s)[:, -1, :] for c, s in zip(corners, seeds)]
 
     scored = []
     for u in u_list:
@@ -176,14 +166,13 @@ def _start_logs(source, dims: Dims, ts: np.ndarray, u_arrs: list, n_paths: int, 
     ``logs[u][s]`` (:func:`_log_track`), s running over ``starts`` in order,
     and the base start's states at ``ts[-1]`` (None if start 0 is not drawn).
     """
-    src = _as_state_source(source)
     x_base = np.zeros(dims.d) if base is None else np.asarray(base, dtype=float)
     points = [x_base, *(x_base + e for e in np.eye(dims.d))]
     seeds = _sub_seeds(seed, len(points))
     by_u = [[] for _ in u_arrs]
     base_end = None
     for j in starts:
-        values = src(points[j], ts, n_paths, seeds[j])
+        values = source(points[j], ts, n_paths, seeds[j])
         if j == 0:
             base_end = values[:, -1, :]
         for estimates, u_arr in zip(by_u, u_arrs):
@@ -191,6 +180,17 @@ def _start_logs(source, dims: Dims, ts: np.ndarray, u_arrs: list, n_paths: int, 
     logs = [[_log_track(series, u_arr, points[j]) for series, j in zip(estimates, starts)]
             for u_arr, estimates in zip(u_arrs, by_u)]
     return by_u, logs, base_end
+
+
+def _log_quotients(estimates, logs, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """log g(x_s) - log g(x_0) at ``ts[i]`` for each start s after the base, and its stderr.
+
+    ``estimates`` and ``logs`` are one u's from :func:`_start_logs`; the stderr
+    is sqrt(rel_0^2 + rel_s^2) from the two estimates' relative errors.
+    """
+    rel = [series[i].stderr / abs(series[i].value) for series in estimates]
+    psi = np.array([lg[i] - logs[0][i] for lg in logs[1:]])
+    return psi, np.array([math.sqrt(rel[0]**2 + r**2) for r in rel[1:]])
 
 
 def recover_phi_psi(source, dims: Dims, t_grid, u_list, n_paths: int, seed: int) -> list:
@@ -222,13 +222,10 @@ def recover_phi_psi(source, dims: Dims, t_grid, u_list, n_paths: int, seed: int)
     for u_arr, estimates, logs in zip(u_arrs, by_u, logs_by_u):
         for i, t in enumerate(ts):
             g0 = estimates[0][i]
-            log_phi = complex(logs[0][i])
-            psi = np.array([logs[1 + k][i] - logs[0][i] for k in range(dims.d)])
-            rel = [series[i].stderr / abs(series[i].value) for series in estimates]
-            psi_stderr = np.array([math.sqrt(rel[0]**2 + rel[1 + k]**2) for k in range(dims.d)])
+            psi, psi_stderr = _log_quotients(estimates, logs, i)
             in_q = abs(g0.value) >= 5.0 * g0.stderr
             rows[i].append(FlowEvaluation(
-                float(t), u_arr, g0.value, psi, log_phi, in_Q=in_q,
+                float(t), u_arr, g0.value, psi, complex(logs[0][i]), in_Q=in_q,
                 phi_stderr=g0.stderr, psi_stderr=psi_stderr,
             ))
     return rows if anchored else rows[1:]
@@ -237,8 +234,8 @@ def recover_phi_psi(source, dims: Dims, t_grid, u_list, n_paths: int, seed: int)
 class SampledFlowSource:
     """Flow source recovering the transform pair from simulated paths.
 
-    ``on_grid`` is :func:`recover_phi_psi` on a model or state source; its
-    cells carry ``phi_stderr`` and ``psi_stderr``.
+    ``on_grid`` is :func:`recover_phi_psi` on its state source; its cells
+    carry ``phi_stderr`` and ``psi_stderr``.
     """
 
     def __init__(self, source, dims: Dims, n_paths: int, seed: int):
@@ -291,11 +288,7 @@ def _semihomogeneity(source, dims: Dims, t: float, u, n_paths: int, seed: int,
                                             n_paths, seed, [0, *(1 + k for k in free)], base)
     if not dims.n:
         return _vacuous_semihomogeneity(threshold), base_end
-    (estimates,), (logs,) = by_u, logs_by_u
-    # the same arithmetic as recover_phi_psi's last row, on the free components
-    psi = np.array([logs[1 + s][-1] - logs[0][-1] for s in range(dims.n)])
-    rel = [series[-1].stderr / abs(series[-1].value) for series in estimates]
-    psi_stderr = np.array([math.sqrt(rel[0]**2 + rel[1 + s]**2) for s in range(dims.n)])
+    psi, psi_stderr = _log_quotients(by_u[0], logs_by_u[0], -1)
     scored = []
     for s, k in enumerate(free):
         defect = abs(psi[s] - u_arr[k])

@@ -2,7 +2,8 @@
 
 Three affine families cover the state-space shapes (pure free part, pure cone,
 mixed), plus a deliberately non-affine control process used to falsify the
-statistical checks.  ``sample_grid`` is the one way to draw paths.  Paths come
+statistical checks.  ``sample_grid`` is the one way to draw paths; calling a
+model with its arguments is that call, so a model is a state source.  Paths come
 in blocks of ``BLOCK_PATHS``: block b (paths ``b * BLOCK_PATHS`` onwards)
 draws from the PCG64 stream of ``SeedSequence(entropy=seed, spawn_key=(b,))``,
 and every sampler makes its draws per block, vectorised over the block's
@@ -78,6 +79,10 @@ class AffineModel:
     beta: np.ndarray | None = None
     params: dict = field(default_factory=dict)
     x0_default: np.ndarray | None = None
+
+    def __call__(self, x0, record_times, n_paths: int, seed, path_offset: int = 0) -> np.ndarray:
+        """:func:`sample_grid` on this model: a model is its own state source."""
+        return sample_grid(self, x0, record_times, n_paths, seed, path_offset)
 
 
 # ----------------------------------------------------------------------------
@@ -259,27 +264,20 @@ class HestonEulerSampler:
         return _recorded(self.walk(x0, times, rngs), x0, times, rngs)
 
 
-class SquaredStartBrownianSampler:
+class SquaredStartBrownianSampler(GaussianIncrementSampler):
     """Control process X_t = x0^2 + W_t for t > 0: Markov in name only.
 
     Its time-t law depends on the start through x0^2, which breaks the affine
-    factorization of the exponential functional; the whole path is generated
-    from one Brownian motion so the square map is applied exactly once.
+    factorization of the exponential functional.  It is the standard Gaussian
+    walk started at x0^2, so the square map is applied once per path; the
+    recorded t = 0 column still holds x0.
     """
 
-    def walk(self, x0, times, rngs):
-        dts = np.diff(times)
-        sqdt = np.sqrt(dts)
-        xi = _fill_normals(rngs, np.empty((len(rngs), BLOCK_PATHS, len(dts)))).reshape(-1, len(dts))
-        start = x0[0] ** 2
-        total = None
-        for k in range(len(dts)):
-            incr = xi[:, k] * sqdt[k]
-            total = incr if total is None else np.add(total, incr, out=total)
-            yield (start + total)[:, None]
+    def __init__(self):
+        super().__init__(np.zeros(1), np.eye(1))
 
-    def sample_chunk(self, x0, times, rngs):
-        return _recorded(self.walk(x0, times, rngs), x0, times, rngs)
+    def walk(self, x0, times, rngs):
+        return super().walk(x0 ** 2, times, rngs)
 
 
 # ----------------------------------------------------------------------------

@@ -11,7 +11,6 @@ simulate-transform-certify pipeline.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Sequence
@@ -20,8 +19,9 @@ import numpy as np
 
 from . import models
 from .core import REGION_EPS, Dims, Tolerances, as_point, outside_half_space
+from .empirical import _semihomogeneity, ecf_from_states
 from .flow import FlowIntegrationError, OdeFlowSource, flow_source_for, matrix_exp
-from .models import AffineModel, GeneratorPair, _sub_seeds, sample_grid, uniform_times
+from .models import AffineModel, GeneratorPair, _sub_seeds, uniform_times
 from .verify import CheckReport, _scored_report, _z_score, extract_beta
 
 __all__ = [
@@ -337,23 +337,22 @@ class _FrameSampler:
 
 
 def transformed_state_source(model: AffineModel, frame: FrameMatrix,
-                             internal_dt: float = 1e-3):
+                             internal_dt: float = 1e-3) -> AffineModel:
     """State source for the frame-transformed process.
 
-    Returns a callable with the (x0, record_times, n_paths, seed) -> values
-    signature the empirical tests accept in place of a model: ``sample_grid``
-    on a copy of ``model`` whose sampler is :class:`_FrameSampler`, so row p
-    is path p of ``sample_grid`` on the same seed, transformed.  The copy
-    carries no flow, so nothing reads the base model's flow as the
-    transformed one's.  ``sample_grid`` chunks the paths and the sampler
-    integrates each chunk as it steps, so beyond the base sampler's working
-    arrays a chunk holds its record-time output and a few (paths, d) arrays.
+    Returns a copy of ``model`` whose sampler is :class:`_FrameSampler`; like
+    every model it is a state source, so row p of its draw is path p of
+    ``model``'s draw on the same seed, transformed.  The copy carries no
+    generator, flow or drift matrix, so nothing reads the base model's flow
+    as the transformed one's.  ``sample_grid`` chunks the paths and the
+    sampler integrates each chunk as it steps, so beyond the base sampler's
+    working arrays a chunk holds its record-time output and a few (paths, d)
+    arrays.
     """
     if internal_dt <= 0:
         raise ValueError("internal_dt must be positive")
     sampler = _FrameSampler(model.sampler, frame, internal_dt)
-    transformed = replace(model, sampler=sampler, gen=None, closed_flow=None, beta=None)
-    return functools.partial(sample_grid, transformed)
+    return replace(model, sampler=sampler, gen=None, closed_flow=None, beta=None)
 
 
 class FramePipelineError(RuntimeError):
@@ -416,14 +415,12 @@ def frame_pipeline(model: AffineModel, t: float, u_set, x0, n_paths: int,
     gives psi_k).  Operational failures abort with a stage tag;
     certification failures produce a failing composite report.
     """
-    from .empirical import _semihomogeneity, ecf_from_states
-
     dims = model.dims
     x0_arr = np.asarray(x0, dtype=float)
     u_stack = np.array([as_point(u, dims) for u in u_set])
     if not len(u_stack):
         raise ValueError("u_set must be nonempty")
-    seeds = _sub_seeds(seed, 3)
+    seeds = _sub_seeds(seed, 2)
 
     # stage 1: frame
     try:

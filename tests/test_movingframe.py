@@ -9,6 +9,7 @@ import pytest
 
 from affineflow import flow, models, movingframe
 from affineflow.core import Dims, Tolerances
+from affineflow.empirical import semihomogeneity_test
 from affineflow.flow import ClosedFlowSource, FlowEvaluation, OdeFlowSource, matrix_exp
 from affineflow.models import sample_grid, uniform_times
 from affineflow.movingframe import (
@@ -25,6 +26,7 @@ from affineflow.movingframe import (
     transform_values,
     transformed_state_source,
 )
+from affineflow.verify import report_to_json
 
 D11 = Dims(1, 1)
 
@@ -350,6 +352,25 @@ def test_transformed_state_source_identity_for_zero_drift(levy):
     assert np.array_equal(got, raw[:, idx, :])
 
 
+def test_a_model_is_its_own_state_source(heston1):
+    """A model called with ``sample_grid``'s arguments is that call; the transformed
+    source is such a model, and a plain callable wrapping it scores the same."""
+    times = np.array([0.0, 0.25, 0.5])
+    assert np.array_equal(heston1([0.3, 0.5], times, 12, 4, path_offset=7),
+                          sample_grid(heston1, [0.3, 0.5], times, 12, 4, path_offset=7))
+    frame = build_frame(heston1.beta, heston1.dims)
+    src = transformed_state_source(heston1, frame, internal_dt=0.05)
+    assert isinstance(src, models.AffineModel)
+    assert isinstance(src.sampler, movingframe._FrameSampler)
+    assert (src.gen, src.closed_flow, src.beta) == (None, None, None)
+    # threshold 0 makes every probe a witness, so the reports carry psi_k and its stderr
+    reports = [report_to_json(semihomogeneity_test(s, heston1.dims, 0.5, np.array([0.4j, 0.5j]),
+                                                   200, seed=3, threshold=0.0))
+               for s in (src, lambda *args: src(*args))]
+    assert '"psi_k"' in reports[0]
+    assert reports[0] == reports[1]
+
+
 def test_transformed_state_source_never_depends_on_chunking(heston1, monkeypatch):
     """Cutting the transform loop into chunks of two 2-path blocks changes no row."""
     frame = build_frame(heston1.beta, heston1.dims)
@@ -497,13 +518,13 @@ def test_frame_pipeline_draws_each_path_set_once(heston1, monkeypatch):
     """Stage 5 scores the x0 set that stage 6's quotient is based at, so heston1
     draws 3 path sets: the sample on its own seed, then x0 and x0 + e_2 at t."""
     draws = []
-    sample_grid_ = movingframe.sample_grid
+    sample_grid_ = models.sample_grid
 
-    def counting(model, x0, times, n_paths, seed):
+    def counting(model, x0, times, n_paths, seed, path_offset=0):
         draws.append((tuple(x0), len(times), n_paths, seed))
-        return sample_grid_(model, x0, times, n_paths, seed)
+        return sample_grid_(model, x0, times, n_paths, seed, path_offset)
 
-    monkeypatch.setattr(movingframe, "sample_grid", counting)
+    monkeypatch.setattr(models, "sample_grid", counting)
     result = frame_pipeline(heston1, 0.5, [np.array([0.4j, 0.5j])], [0.3, 0.0], n_paths=300,
                             N_schedule=(8, 16), seed=5, internal_dt=1e-2, n_sample_paths=4)
     seeds = models._sub_seeds(5, 3)
