@@ -13,7 +13,8 @@ and of the window of paths a call asks for.  Each sampler steps in one loop,
 ``walk(x0, times, rngs)``, which yields the (paths, d) state after each
 interval of ``times``, valid until the next one is drawn; its
 ``sample_chunk`` stores those states, and the frame sampler of
-``movingframe`` consumes them one at a time.
+``movingframe`` consumes them one at a time.  The Heston sampler draws one W2
+normal per record interval, which given v's path keeps the Euler law.
 """
 
 from __future__ import annotations
@@ -95,9 +96,10 @@ class AffineModel:
 # drawn from ``rngs[b]`` alone.  Changing it changes every seeded draw.
 BLOCK_PATHS = 512
 
-# Substeps of Heston noise drawn per block and call: it bounds the noise
-# window and changes no value, since each block reads its stream in order.
-_NOISE_SUBSTEPS = 16
+# Rows of Heston noise drawn per block and call (an xi1 row per substep, an
+# xi2 row per record interval): it bounds the noise window and changes no
+# value, since each block reads its stream in order.
+_NOISE_ROWS = 32
 
 
 def _fill_normals(rngs, out) -> np.ndarray:
@@ -211,51 +213,65 @@ class HestonEulerSampler:
     def walk(self, x0, times, rngs):
         """Yield ``(max(v, 0), y)`` after each interval of ``times``, (paths, 2).
 
+        Each substep draws an ``xi1`` row; after an interval's ``xi1`` rows, one
+        ``xi2`` row is scaled by the interval's W2 deviation given v's path.
         Every substep runs on preallocated buffers, and the yielded state is
         one buffer rewritten after each interval: it is valid until the next
         state is drawn.
         """
         dts, counts = self._substep_plan(times)
-        total = int(np.sum(counts))
+        rows = int(np.sum(counts)) + len(dts)
         shape = (len(rngs), BLOCK_PATHS)
-        # substep-major noise, (substeps, 2, BLOCK_PATHS) per block: every
-        # column a substep reads is contiguous within its block
-        noise = np.empty((len(rngs), _NOISE_SUBSTEPS, 2, BLOCK_PATHS))
+        # row-major noise, (rows, BLOCK_PATHS) per block: every row a substep
+        # reads is contiguous within its block
+        noise = np.empty((len(rngs), _NOISE_ROWS, BLOCK_PATHS))
         # the yielded state, rewritten after every record interval
         state = np.empty(shape + (2,))
 
         v = np.full(shape, x0[0])
         y = np.full(shape, x0[1])
         vp = np.maximum(v, 0.0)
-        sq, dw1, drift, diffusion = (np.empty(shape) for _ in range(4))
+        sq, dw1, drift, diffusion, var = (np.empty(shape) for _ in range(5))
         pos = 0
-        for k in range(len(dts)):
-            eta = dts[k] / counts[k]
+
+        def next_row():
+            nonlocal pos
+            w = pos % _NOISE_ROWS
+            if w == 0:
+                _fill_normals(rngs, noise[:, :rows - pos])
+            pos += 1
+            return noise[:, w]
+
+        for dt, count in zip(dts, counts):
+            eta = dt / count
             se = math.sqrt(eta)
             a_eta, b_eta, decay = self.a * eta, self.b * eta, 1.0 - self.lam * eta
-            for _ in range(counts[k]):
-                w = pos % _NOISE_SUBSTEPS
-                if w == 0:
-                    _fill_normals(rngs, noise[:, :total - pos])
-                xi1 = noise[:, w, 0]
-                xi2 = noise[:, w, 1]
+            if count > 1:
+                var.fill(0.0)
+            for j in range(count):
                 np.sqrt(vp, out=sq)
                 sq *= se  # sqrt(v+ eta)
-                np.multiply(sq, xi1, out=dw1)
+                np.multiply(sq, next_row(), out=dw1)
                 # v += a eta - (b eta) v+ + sigma dw1
                 np.multiply(b_eta, vp, out=drift)
                 np.subtract(a_eta, drift, out=drift)
                 drift += np.multiply(self.sigma, dw1, out=diffusion)
                 v += drift
-                # y += rho dw1 + rho_c sq xi2, after y *= 1 - lam eta
+                # y += rho dw1 after y *= 1 - lam eta, plus sd xi2 on the last substep
                 y *= decay
                 dw1 *= self.rho
-                sq *= self.rho_c
-                sq *= xi2
-                dw1 += sq
+                if count > 1:  # var = var decay^2 + rho_c^2 eta v+
+                    var *= decay * decay
+                    var += np.multiply(self.rho_c**2 * eta, vp, out=diffusion)
+                if j == count - 1:
+                    if count > 1:
+                        np.sqrt(var, out=sq)
+                    else:
+                        sq *= self.rho_c
+                    sq *= next_row()
+                    dw1 += sq
                 y += dw1
                 np.maximum(v, 0.0, out=vp)
-                pos += 1
             state[..., 0] = vp
             state[..., 1] = y
             yield state.reshape(-1, 2)
@@ -523,7 +539,7 @@ def uniform_times(horizon: float, grid_step: float) -> np.ndarray:
 # Paths per sampler call in ``sample_grid``, a multiple of ``BLOCK_PATHS``; it
 # bounds the samplers' working arrays and changes no value.  At a chunk's peak
 # these are the sampler's output on the record times and, for Heston, a noise
-# window of ``_NOISE_SUBSTEPS`` substeps.  The frame sampler adds only a few
+# window of ``_NOISE_ROWS`` rows.  The frame sampler adds only a few
 # (paths, d) arrays, the running integral among them; of the base samplers,
 # only the Gaussian ones hold arrays over the grid: their normals and, for
 # the Gaussian model, the normals' product with the scale.

@@ -15,6 +15,7 @@ from affineflow.empirical import (
     recover_phi_psi,
     semihomogeneity_test,
 )
+from affineflow.flow import flow_on_grid
 from affineflow.models import _sub_seeds, make_heston_like
 
 
@@ -202,3 +203,32 @@ def test_semihomogeneity_vacuous_without_free_part(cir):
                                   n_paths=10, seed=0)
     assert report.passed and "vacuous" in report.grid_spec
 
+
+def test_heston_sampled_gates_are_calibrated(heston1):
+    """Over fixed seeds, each sampled gate's single-probe z has mean z^2 in [0.6, 1.5].
+
+    Rule: z is |complex gap| over the stderr of a complex mean, so E z^2 = 1
+    when the stderr measures the sampling noise and no bias sits below it.
+    The test draws ``affine_factorization_test`` (one u, the CLI's corners)
+    and ``recover_phi_psi`` (z of phi and of each psi component against the
+    ODE flow) on Heston lam = 1 at t = 0.05, 512 paths, over K = 150 seeds
+    each.  Each mean of K values of z^2 has a standard deviation of about
+    0.1 (sqrt(2/K) if z^2 is chi-square with one degree of freedom), so the
+    band [0.6, 1.5] holds a calibrated gate and fails a stderr off by sqrt(2)
+    either way.  The seeds are fixed, so the test is deterministic.
+    """
+    dims, t, k_seeds, n = heston1.dims, 0.05, 150, models.BLOCK_PATHS
+    x0 = np.array([0.3, 0.0])
+    xa, xb = x0 + 0.4, x0 + np.array([0.25, -0.25])
+    u = np.array([-0.7j, 0.9j])
+    ref = flow_on_grid(heston1.gen, dims, [t], [u]).evals[0][0]
+    z2 = {"factorization": [], "phi": [], "psi_0": [], "psi_1": []}
+    for seed in range(k_seeds):
+        report = affine_factorization_test(heston1, dims, t, [u], x0, xa, xb, n, seed)
+        z2["factorization"].append(report.max_violation ** 2)
+        ((ev,),) = recover_phi_psi(heston1, dims, [t], [u], n, k_seeds + seed)
+        z2["phi"].append((abs(ev.phi - ref.phi) / ev.phi_stderr) ** 2)
+        for k in range(dims.d):
+            z2[f"psi_{k}"].append((abs(ev.psi[k] - ref.psi[k]) / ev.psi_stderr[k]) ** 2)
+    means = {name: float(np.mean(values)) for name, values in z2.items()}
+    assert all(0.6 <= mean <= 1.5 for mean in means.values()), means

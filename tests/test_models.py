@@ -8,6 +8,8 @@ import pytest
 
 from affineflow import models
 from affineflow.core import Dims
+from affineflow.empirical import ecf_from_states
+from affineflow.flow import flow_on_grid
 from affineflow.models import (
     make_cir,
     make_heston_like,
@@ -151,10 +153,12 @@ def test_increment_walks_equal_the_start_plus_a_cumsum(levy, control):
 
 
 def test_heston_walk_equals_the_plain_euler_formula(heston1):
-    """The buffered Heston substep gives the bits of the formula written on fresh arrays."""
+    """On one-substep intervals the buffered Heston substep gives the bits of the formula."""
     sampler, x0 = heston1.sampler, np.array([0.02, 0.4])
-    times = np.array([0.0, 0.0025, 0.01, 0.05])  # 51 substeps cross the noise window
+    # 21 one-substep intervals, 42 noise rows: they cross the noise window
+    times = np.cumsum(np.r_[0.0, np.tile([0.0005, 0.001, 0.0008], 7)])
     dts, counts = sampler._substep_plan(times)
+    assert np.all(counts == 1)
     streams = [np.random.default_rng(b) for b in range(2)]
     noise = [rng.standard_normal((int(counts.sum()), 2, models.BLOCK_PATHS)) for rng in streams]
     v = np.full((2, models.BLOCK_PATHS), x0[0])
@@ -176,6 +180,49 @@ def test_heston_walk_equals_the_plain_euler_formula(heston1):
     rngs = [np.random.default_rng(b) for b in range(2)]
     walked = [x.copy() for x in sampler.walk(x0, times, rngs)]
     assert len(walked) == len(expected)
+    for got, want in zip(walked, expected):
+        assert np.array_equal(got, want)
+
+
+def test_heston_walk_draws_one_w2_row_per_interval(heston1):
+    """On multi-substep intervals the walk gives the bits of the conditional-Gaussian formula.
+
+    Each substep reads an xi1 row; after an interval's xi1 rows comes one xi2
+    row, scaled by the square root of the W2 terms' variance given v's path.
+    """
+    sampler, x0 = heston1.sampler, np.array([0.02, 0.4])
+    times = np.array([0.0, 0.0025, 0.0035, 0.01, 0.05])  # 52 substeps, 56 rows
+    dts, counts = sampler._substep_plan(times)
+    assert list(counts) == [3, 1, 7, 40]
+    streams = [np.random.default_rng(b) for b in range(2)]
+    noise = [rng.standard_normal((int(counts.sum()) + len(dts), models.BLOCK_PATHS))
+             for rng in streams]
+    v = np.full((2, models.BLOCK_PATHS), x0[0])
+    y = np.full((2, models.BLOCK_PATHS), x0[1])
+    expected, pos = [], 0
+    for dt, count in zip(dts, counts):
+        eta = dt / count
+        decay = 1.0 - sampler.lam * eta
+        var = np.zeros_like(v)
+        for j in range(count):
+            xi1 = np.stack([block[pos] for block in noise])
+            vp = np.maximum(v, 0.0)
+            sq = np.sqrt(vp) * math.sqrt(eta)
+            dw1 = sq * xi1
+            v = v + (sampler.a * eta - (sampler.b * eta) * vp + sampler.sigma * dw1)
+            var = var * (decay * decay) + (sampler.rho_c**2 * eta) * vp
+            if j < count - 1:
+                y = y * decay + sampler.rho * dw1
+            else:
+                xi2 = np.stack([block[pos + 1] for block in noise])
+                sd = sampler.rho_c * sq if count == 1 else np.sqrt(var)
+                y = y * decay + (sampler.rho * dw1 + sd * xi2)
+                pos += 1
+            pos += 1
+        expected.append(np.stack((np.maximum(v, 0.0), y), axis=-1).reshape(-1, 2))
+    rngs = [np.random.default_rng(b) for b in range(2)]
+    walked = [x.copy() for x in sampler.walk(x0, times, rngs)]
+    assert pos == noise[0].shape[0] and len(walked) == len(expected)
     for got, want in zip(walked, expected):
         assert np.array_equal(got, want)
 
@@ -286,3 +333,20 @@ def test_cir_sampler_matches_flow(cir):
 def test_heston_sampler_matches_flow(heston0):
     z = _ecf_z(heston0, [0.3, 0.0], 0.4, [-0.5 + 0.2j, 0.3j], 20_000, seed=11)
     assert z < 4.5
+
+
+def test_heston_sampler_keeps_the_euler_law_on_a_coarse_grid(heston1):
+    """Multi-substep intervals draw one W2 row each, and the law stays the flow's.
+
+    On the record grid 0, 0.1, 0.25 every interval spans 100 or more
+    substeps, so the conditional variance carries each interval's W2 terms;
+    an accumulator without the decay^2 or the rho_c^2 factor fails here.
+    """
+    x0, times = np.array([0.3, 0.0]), [0.0, 0.1, 0.25]
+    us = [np.array(u) for u in ([0.5j, 4j], [-1j, -3j], [0j, 5j])]
+    vals = sample_grid(heston1, x0, times, 40_000, seed=3)
+    grid = flow_on_grid(heston1.gen, heston1.dims, times[1:], us)
+    for i, row in enumerate(grid.evals, start=1):
+        for u, ev in zip(us, row):
+            est = ecf_from_states(vals[:, i], u)
+            assert abs(est.value - ev.phi * np.exp(ev.psi @ x0)) < 4.0 * est.stderr
