@@ -12,15 +12,19 @@ blocks, so results are bit-for-bit reproducible and independent of chunking
 and of the window of paths a call asks for.  Each sampler steps in one loop,
 ``walk(x0, times, rngs)``, which yields the (paths, d) state after each
 interval of ``times``, valid until the next one is drawn; its
-``sample_chunk`` stores those states, and the frame sampler of
-``movingframe`` consumes them one at a time.  The Heston sampler draws one W2
-normal per record interval, which given v's path keeps the Euler law.
+``sample_chunk`` stores those states.  The frame sampler of ``movingframe``
+reads ``walk_integrals(x0, times, nodes, rngs)``, the state and its left-rule
+integral at the given nodes only: by default the running sum over ``walk``.
+The Heston sampler draws one W2 normal per record interval, and over an
+interval of several nodes two normals for the W2 parts of the state and of
+its integral, which given v's path keeps the Euler law.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -97,8 +101,8 @@ class AffineModel:
 BLOCK_PATHS = 512
 
 # Rows of Heston noise drawn per block and call (an xi1 row per substep, an
-# xi2 row per record interval): it bounds the noise window and changes no
-# value, since each block reads its stream in order.
+# xi2 row or two zeta rows per record interval): it bounds the noise window
+# and changes no value, since each block reads its stream in order.
 _NOISE_ROWS = 32
 
 
@@ -118,7 +122,54 @@ def _recorded(walk, x0, times, rngs) -> np.ndarray:
     return out
 
 
-class GaussianIncrementSampler:
+def _left_integrals(states, dt):
+    """Pair each state x_i of ``states`` with its left-rule integral sum_{j<i} x_j dt_j.
+
+    ``states`` yields x_0, x_1, ... (arrays of one shape) and ``dt`` holds
+    the steps between them.  The terms add in order and the first sum is the
+    first term itself, as in ``np.cumsum``.  Each x_j dt_j is taken before
+    the next state is drawn, so ``states`` may rewrite one buffer in place.
+    A yielded integral is valid until the next state is drawn, since later
+    sums add into it.
+    """
+    states = iter(states)
+    x = next(states)
+    integral = np.zeros(x.shape)  # C order: zeros_like would copy a broadcast x0's order
+    term = np.empty_like(integral)
+    yield x, integral
+    for i, h in enumerate(dt):
+        if i == 0:
+            np.multiply(x, h, out=integral)
+        else:
+            integral += np.multiply(x, h, out=term)
+        x = next(states, None)
+        if x is None:
+            return
+        yield x, integral
+
+
+class _Sampler:
+    """Base of the catalog samplers: the default ``walk_integrals``."""
+
+    def walk_integrals(self, x0, times, nodes, rngs):
+        """Yield x_i and sum_{j<i} x_j dt_j over ``times`` at each node i of ``nodes``.
+
+        ``nodes`` ascend from 1; the pairs are :func:`_left_integrals` over
+        every state of ``walk``, each valid until the next is drawn.
+        """
+        start = np.broadcast_to(x0, (len(rngs) * BLOCK_PATHS, len(x0)))
+        pairs = _left_integrals(chain([start], self.walk(x0, times, rngs)), np.diff(times))
+        todo = iter(nodes)
+        node = next(todo, None)
+        for i, pair in enumerate(pairs):
+            if i == node:
+                yield pair
+                node = next(todo, None)
+                if node is None:
+                    return
+
+
+class GaussianIncrementSampler(_Sampler):
     """Exact transitions for the homogeneous Gaussian model (pure free part)."""
 
     def __init__(self, drift: np.ndarray, scale: np.ndarray):
@@ -149,7 +200,7 @@ class GaussianIncrementSampler:
         return _recorded(self.walk(x0, times, rngs), x0, times, rngs)
 
 
-class CirExactSampler:
+class CirExactSampler(_Sampler):
     """Exact square-root-diffusion transitions via the Poisson-gamma mixture.
 
     Each step draws N ~ Poisson(nc/2) and then a gamma variate of shape
@@ -187,7 +238,7 @@ class CirExactSampler:
         return _recorded(self.walk(x0, times, rngs), x0, times, rngs)
 
 
-class HestonEulerSampler:
+class HestonEulerSampler(_Sampler):
     """Euler scheme with full truncation on the cone component.
 
     The record grid is refined internally to substeps no longer than
@@ -211,27 +262,39 @@ class HestonEulerSampler:
         return dts, counts
 
     def walk(self, x0, times, rngs):
-        """Yield ``(max(v, 0), y)`` after each interval of ``times``, (paths, 2).
+        """Yield ``(max(v, 0), y)`` after each interval of ``times``, as :meth:`walk_integrals`."""
+        return (state for state, _ in self.walk_integrals(x0, times, range(1, len(times)), rngs))
 
-        Each substep draws an ``xi1`` row; after an interval's ``xi1`` rows, one
-        ``xi2`` row is scaled by the interval's W2 deviation given v's path.
-        Every substep runs on preallocated buffers, and the yielded state is
-        one buffer rewritten after each interval: it is valid until the next
-        state is drawn.
+    def walk_integrals(self, x0, times, nodes, rngs):
+        """Yield ``(max(v, 0), y)`` and its left-rule integral over ``times`` at each of ``nodes``.
+
+        Each substep draws an ``xi1`` row.  A record interval (node to node)
+        of one step then draws an ``xi2`` row scaled by its W2 deviation given
+        v's path.  A longer one steps y and its integral without their W2
+        parts G and H, a bivariate Gaussian given v's path whose variances
+        ``var``, ``var_h`` and covariance ``cov`` accumulate as it steps;
+        after its ``xi1`` rows, rows zeta1 and zeta2 draw G = sqrt(var) zeta1
+        and H = cov / sqrt(var) zeta1 + sqrt(var_h - cov^2 / var) zeta2, both
+        0 where var is.  The yielded pair is two buffers rewritten per node.
         """
+        nodes = [int(k) for k in nodes]
+        if not nodes:
+            return
         dts, counts = self._substep_plan(times)
-        rows = int(np.sum(counts)) + len(dts)
+        spans = np.diff([0] + nodes)
+        rows = int(np.sum(counts[:nodes[-1]])) + int(np.sum(np.where(spans > 1, 2, 1)))
         shape = (len(rngs), BLOCK_PATHS)
         # row-major noise, (rows, BLOCK_PATHS) per block: every row a substep
         # reads is contiguous within its block
         noise = np.empty((len(rngs), _NOISE_ROWS, BLOCK_PATHS))
-        # the yielded state, rewritten after every record interval
-        state = np.empty(shape + (2,))
+        # the yielded state and integral, rewritten at every node
+        state, area = np.empty(shape + (2,)), np.empty(shape + (2,))
 
         v = np.full(shape, x0[0])
         y = np.full(shape, x0[1])
         vp = np.maximum(v, 0.0)
-        sq, dw1, drift, diffusion, var = (np.empty(shape) for _ in range(5))
+        iv, iy = np.zeros(shape), np.zeros(shape)  # the integrals of v+ and y
+        sq, dw1, drift, diffusion, var, cov, var_h = (np.empty(shape) for _ in range(7))
         pos = 0
 
         def next_row():
@@ -242,39 +305,64 @@ class HestonEulerSampler:
             pos += 1
             return noise[:, w]
 
-        for dt, count in zip(dts, counts):
-            eta = dt / count
-            se = math.sqrt(eta)
-            a_eta, b_eta, decay = self.a * eta, self.b * eta, 1.0 - self.lam * eta
-            if count > 1:
-                var.fill(0.0)
-            for j in range(count):
-                np.sqrt(vp, out=sq)
-                sq *= se  # sqrt(v+ eta)
-                np.multiply(sq, next_row(), out=dw1)
-                # v += a eta - (b eta) v+ + sigma dw1
-                np.multiply(b_eta, vp, out=drift)
-                np.subtract(a_eta, drift, out=drift)
-                drift += np.multiply(self.sigma, dw1, out=diffusion)
-                v += drift
-                # y += rho dw1 after y *= 1 - lam eta, plus sd xi2 on the last substep
-                y *= decay
-                dw1 *= self.rho
-                if count > 1:  # var = var decay^2 + rho_c^2 eta v+
-                    var *= decay * decay
-                    var += np.multiply(self.rho_c**2 * eta, vp, out=diffusion)
-                if j == count - 1:
-                    if count > 1:
-                        np.sqrt(var, out=sq)
-                    else:
-                        sq *= self.rho_c
-                    sq *= next_row()
-                    dw1 += sq
-                y += dw1
-                np.maximum(v, 0.0, out=vp)
+        i = 0
+        for node in nodes:
+            joint = node - i > 1  # G and H are drawn at the node
+            for acc in (var, cov, var_h):
+                acc.fill(0.0)
+            for i in range(i, node):
+                dt, count = dts[i], counts[i]
+                iv += np.multiply(vp, dt, out=drift)
+                iy += np.multiply(y, dt, out=drift)
+                if joint:  # H += dt G, with var and cov at this node
+                    var_h += np.multiply(2.0 * dt, cov, out=drift)
+                    var_h += np.multiply(dt * dt, var, out=drift)
+                    cov += np.multiply(dt, var, out=drift)
+                eta = dt / count
+                se = math.sqrt(eta)
+                a_eta, b_eta, decay = self.a * eta, self.b * eta, 1.0 - self.lam * eta
+                for j in range(count):
+                    np.sqrt(vp, out=sq)
+                    sq *= se  # sqrt(v+ eta)
+                    np.multiply(sq, next_row(), out=dw1)
+                    # v += a eta - (b eta) v+ + sigma dw1
+                    np.multiply(b_eta, vp, out=drift)
+                    np.subtract(a_eta, drift, out=drift)
+                    drift += np.multiply(self.sigma, dw1, out=diffusion)
+                    v += drift
+                    # y += rho dw1 after y *= 1 - lam eta, plus sd xi2 on a short interval's end
+                    y *= decay
+                    dw1 *= self.rho
+                    if joint or count > 1:  # var = var decay^2 + rho_c^2 eta v+
+                        var *= decay * decay
+                        var += np.multiply(self.rho_c**2 * eta, vp, out=diffusion)
+                    if joint:
+                        cov *= decay
+                    elif j == count - 1:
+                        if count > 1:
+                            np.sqrt(var, out=sq)
+                        else:
+                            sq *= self.rho_c
+                        sq *= next_row()
+                        dw1 += sq
+                    y += dw1
+                    np.maximum(v, 0.0, out=vp)
+            i = node
+            if joint:
+                np.sqrt(var, out=sq)
+                np.divide(cov, sq, out=cov, where=sq > 0.0)  # cov and var_h vanish with var
+                var_h -= np.multiply(cov, cov, out=drift)
+                np.sqrt(np.maximum(var_h, 0.0, out=var_h), out=var_h)
+                zeta1 = next_row()  # read before zeta2 is drawn: a refill rewrites the window
+                y += np.multiply(sq, zeta1, out=drift)
+                cov *= zeta1
+                var_h *= next_row()
+                iy += np.add(cov, var_h, out=drift)
             state[..., 0] = vp
             state[..., 1] = y
-            yield state.reshape(-1, 2)
+            area[..., 0] = iv
+            area[..., 1] = iy
+            yield state.reshape(-1, 2), area.reshape(-1, 2)
 
     def sample_chunk(self, x0, times, rngs):
         return _recorded(self.walk(x0, times, rngs), x0, times, rngs)

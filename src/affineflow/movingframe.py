@@ -12,7 +12,6 @@ simulate-transform-certify pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -21,7 +20,7 @@ from . import models
 from .core import REGION_EPS, Dims, Tolerances, as_point, outside_half_space
 from .empirical import _semihomogeneity, ecf_from_states
 from .flow import FlowIntegrationError, OdeFlowSource, flow_source_for, matrix_exp
-from .models import AffineModel, GeneratorPair, _sub_seeds, uniform_times
+from .models import AffineModel, GeneratorPair, _left_integrals, _sub_seeds, uniform_times
 from .verify import CheckReport, _scored_report, _z_score, extract_beta
 
 __all__ = [
@@ -84,32 +83,6 @@ def _left_weights(times: np.ndarray) -> np.ndarray:
     if times[0] != 0 or np.any(np.diff(times) <= 0):
         raise ValueError("time grid must start at 0 and increase strictly")
     return np.diff(times)
-
-
-def _left_integrals(states, dt):
-    """Pair each state x_i of ``states`` with its left-rule integral sum_{j<i} x_j dt_j.
-
-    ``states`` yields x_0, x_1, ... (arrays of one shape) and ``dt`` holds
-    the steps between them.  The terms add in order and the first sum is the
-    first term itself, as in ``np.cumsum``.  Each x_j dt_j is taken before
-    the next state is drawn, so ``states`` may rewrite one buffer in place.
-    A yielded integral is valid until the next state is drawn, since later
-    sums add into it.
-    """
-    states = iter(states)
-    x = next(states)
-    integral = np.zeros(x.shape)  # C order: zeros_like would copy a broadcast x0's order
-    term = np.empty_like(integral)
-    yield x, integral
-    for i, h in enumerate(dt):
-        if i == 0:
-            np.multiply(x, h, out=integral)
-        else:
-            integral += np.multiply(x, h, out=term)
-        x = next(states, None)
-        if x is None:
-            return
-        yield x, integral
 
 
 def transform_values(values: np.ndarray, times: np.ndarray, frame: FrameMatrix) -> np.ndarray:
@@ -306,12 +279,12 @@ def _pq_endpoint(gen, frame: FrameMatrix, t: float, u: np.ndarray,
 class _FrameSampler:
     """Sampler of the frame-transformed process, for :func:`models.sample_grid`.
 
-    ``sample_chunk`` steps the base sampler's ``walk`` on the uniform grid of
-    step ``internal_dt`` up to the last record time, with the same
+    ``sample_chunk`` asks the base sampler's ``walk_integrals`` for the state
+    and its left-rule integral over the uniform grid of step ``internal_dt``
+    up to the last record time, at the record nodes only, with the same
     generators, so the running integral of the transform is resolved.  It
-    adds each state to a left-rule running integral and stores
-    ``x - integral @ K`` at the record times only, so it keeps no array over
-    the internal grid.  Record times must lie on that grid.
+    stores ``x - integral @ K`` at the record times, so it keeps no array
+    over the internal grid.  Record times must lie on that grid.
     """
 
     def __init__(self, base, frame: FrameMatrix, internal_dt: float):
@@ -325,14 +298,12 @@ class _FrameSampler:
         idx = np.rint(times / self.internal_dt).astype(int)
         if np.max(np.abs(fine[idx] - times)) > 1e-9:
             raise ValueError("record times must lie on the internal uniform grid")
-        shape = (len(rngs) * models.BLOCK_PATHS, len(x0))
-        states = chain([np.broadcast_to(x0, shape)], self.base.walk(x0, fine, rngs))
-        out = np.empty((shape[0], idx.size, shape[1]))
-        col = 0
-        for i, (x, integral) in enumerate(_left_integrals(states, np.diff(fine))):
-            while col < idx.size and idx[col] == i:
-                out[:, col] = x - integral @ self.frame.K
-                col += 1
+        nodes, cols = np.unique(idx, return_inverse=True)  # nodes[0] is 0, the start
+        out = np.empty((len(rngs) * models.BLOCK_PATHS, idx.size, len(x0)))
+        out[:, cols == 0] = x0
+        pairs = self.base.walk_integrals(x0, fine, nodes[1:], rngs)
+        for k, (x, integral) in enumerate(pairs, start=1):
+            out[:, cols == k] = (x - integral @ self.frame.K)[:, None]
         return out
 
 
@@ -345,9 +316,11 @@ def transformed_state_source(model: AffineModel, frame: FrameMatrix,
     ``model``'s draw on the same seed, transformed.  The copy carries no
     generator, flow or drift matrix, so nothing reads the base model's flow
     as the transformed one's.  ``sample_grid`` chunks the paths and the
-    sampler integrates each chunk as it steps, so beyond the base sampler's
-    working arrays a chunk holds its record-time output and a few (paths, d)
-    arrays.
+    base sampler integrates each chunk as it steps, so beyond its working
+    arrays a chunk holds its record-time output and a few (paths, d)
+    arrays.  A Heston record interval of several internal nodes draws the
+    W2 parts of y and of its integral at its end, so only the law of a
+    record, not its draws, matches the fine-grid walk.
     """
     if internal_dt <= 0:
         raise ValueError("internal_dt must be positive")

@@ -152,19 +152,21 @@ def check_semiflow(source, t_grid, s_grid, u_set, threshold: float = 1e-8) -> Ch
     base_times = sorted(set(ts) | set(ss) | set(sums))
     inner_times = sorted(set(ts) | set(ss))
     base = source.on_grid(base_times, u_set)
+    columns = [{t: row[j] for t, row in zip(base_times, base)} for j in range(len(u_set))]
+    # one inner call: u j's lanes start at j * width, lane a at psi(t_a, u),
+    # lane len(ts) + b at psi(s_b, u)
+    width = len(ts) + len(ss)
+    starts = [column[r].psi for column in columns for r in (*ts, *ss)]
+    inner = dict(zip(inner_times, source.on_grid(inner_times, starts)))
     scored = []
-    for j, u in enumerate(u_set):
-        column = {t: row[j] for t, row in zip(base_times, base)}
-        # one inner call per u: lane a starts at psi(t_a, u), lane len(ts) + b at psi(s_b, u)
-        starts = [column[t].psi for t in ts] + [column[s].psi for s in ss]
-        inner = dict(zip(inner_times, source.on_grid(inner_times, starts)))
+    for j, (u, column) in enumerate(zip(u_set, columns)):
         for i_t, t in enumerate(ts):
             for i_s, s in enumerate(ss):
                 direct = column[t + s]
-                stepped = inner[s][i_t]
+                stepped = inner[s][j * width + i_t]
                 v_phi = abs(direct.phi - column[t].phi * stepped.phi)
                 v_psi = float(np.max(np.abs(direct.psi - stepped.psi)))
-                mirrored = inner[t][len(ts) + i_s]
+                mirrored = inner[t][j * width + len(ts) + i_s]
                 v_phi_m = abs(direct.phi - column[s].phi * mirrored.phi)
                 v_psi_m = float(np.max(np.abs(direct.psi - mirrored.psi)))
                 scored.append((max(v_phi, v_psi, v_phi_m, v_psi_m), {
@@ -308,11 +310,13 @@ def extract_beta(source, dims: Dims, threshold: float = 1e-8) -> tuple[np.ndarra
         "observed": {"rate_matrix": rate, "imag_leak": imag_leak},
         "expected": f"imaginary parts <= {threshold}",
     })]
+    # one solve: lane 3i + k is point k of time i, drawn in that order
     rng = np.random.default_rng(_BETA_CHECK_SEED)
-    for t in _BETA_CHECK_TIMES:
+    points = [u for _ in _BETA_CHECK_TIMES for u in sample_imaginary_points(dims, 3, rng)]
+    rows = source.on_grid(list(_BETA_CHECK_TIMES), points)
+    for i, (t, row) in enumerate(zip(_BETA_CHECK_TIMES, rows)):
         e_tb = matrix_exp(beta, float(t))
-        for u in sample_imaginary_points(dims, 3, rng):
-            ev = source.on_grid([float(t)], [u])[0][0]
+        for u, ev in zip(points[3 * i:3 * i + 3], row[3 * i:3 * i + 3]):
             predicted = e_tb @ u[dims.J]
             scored.append((float(np.max(np.abs(ev.psi[dims.J] - predicted), initial=0.0)), {
                 "inputs": {"t": float(t), "u": u},

@@ -68,7 +68,8 @@ def test_sample_grid_hands_each_sampler_a_list_of_generators(levy, cir, heston0,
 
 
 def test_transformed_source_hook_and_the_base_sampler_calls(tracer, heston1, monkeypatch):
-    """The tracer wraps the returned source; the base sampler walks the fine grid in chunks."""
+    """The tracer wraps the returned source; the base sampler integrates the fine grid in
+    chunks, recording at the record nodes only."""
     frame = movingframe.build_frame(heston1.beta, heston1.dims)
     source = movingframe.transformed_state_source(heston1, frame, internal_dt=0.05)
     record = np.array([0.0, 0.25, 0.5])
@@ -80,18 +81,19 @@ def test_transformed_source_hook_and_the_base_sampler_calls(tracer, heston1, mon
     monkeypatch.setattr(models, "BLOCK_PATHS", 3)
     monkeypatch.setattr(models, "CHUNK_PATHS", 12)
     seen = []
-    walk = type(heston1.sampler).walk
+    walk_integrals = type(heston1.sampler).walk_integrals
 
-    def recording(self, x0, times, rngs):
-        seen.append((np.array(times), rngs))
-        return walk(self, x0, times, rngs)
+    def recording(self, x0, times, nodes, rngs):
+        seen.append((np.array(times), list(nodes), rngs))
+        return walk_integrals(self, x0, times, nodes, rngs)
 
-    monkeypatch.setattr(type(heston1.sampler), "walk", recording)
+    monkeypatch.setattr(type(heston1.sampler), "walk_integrals", recording)
     source([0.3, 0.5], record, 28, 6)
-    assert [len(rngs) for _, rngs in seen] == [4, 4, 2]
-    assert all(np.array_equal(times, models.uniform_times(0.5, 0.05)) for times, _ in seen)
+    assert [len(rngs) for _, _, rngs in seen] == [4, 4, 2]
+    assert all(np.array_equal(times, models.uniform_times(0.5, 0.05)) for times, _, _ in seen)
+    assert all(nodes == [5, 10] for _, nodes, _ in seen)
     assert all(type(rngs) is list and all(type(g) is np.random.Generator for g in rngs)
-               for _, rngs in seen)
+               for _, _, rngs in seen)
 
 
 def test_flow_on_grid_hook_reads_u_grid_evals_and_errors(tracer):

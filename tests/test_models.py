@@ -227,6 +227,96 @@ def test_heston_walk_draws_one_w2_row_per_interval(heston1):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("horizon, step, nodes", [
+    (0.03, 0.002, [4, 5, 9, 15]),  # two substeps per step; 30 xi1 rows, 37 rows in all
+    # one substep per step; zeta1 is row 31, the window's last, and the refill
+    # at zeta2 rewrites the whole window
+    (0.06, 0.001, [1, 13, 14, 27, 60]),
+])
+def test_heston_walk_integrals_draw_g_and_h_at_the_record_nodes(heston1, horizon, step, nodes):
+    """Record intervals of several steps give the bits of the joint (G, H) formula.
+
+    Each substep reads an xi1 row.  An interval of one step then reads one
+    xi2 row, as ``walk`` does; a longer one steps y and its integral without
+    the interval's W2 parts G and H, and after its xi1 rows reads zeta1 and
+    zeta2.  The integral is the left rule over every step of ``times``.
+    """
+    sampler, x0 = heston1.sampler, np.array([0.02, 0.4])
+    times = uniform_times(horizon, step)
+    dts, counts = sampler._substep_plan(times)
+    spans = np.diff([0] + nodes)
+    rows = int(counts[:nodes[-1]].sum()) + int(np.sum(np.where(spans > 1, 2, 1)))
+    assert rows > 32  # the noise window refills within the walk
+    streams = [np.random.default_rng(b) for b in range(2)]
+    noise = [rng.standard_normal((rows, models.BLOCK_PATHS)) for rng in streams]
+    pos = 0
+
+    def row():
+        nonlocal pos
+        pos += 1
+        return np.stack([block[pos - 1] for block in noise])
+
+    shape = (2, models.BLOCK_PATHS)
+    v, y = np.full(shape, x0[0]), np.full(shape, x0[1])
+    iv, iy = np.zeros(shape), np.zeros(shape)
+    expected, i = [], 0
+    for node in nodes:
+        joint = node - i > 1
+        var, cov, var_h = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+        for k in range(i, node):
+            dt, count = dts[k], counts[k]
+            iv = iv + np.maximum(v, 0.0) * dt
+            iy = iy + y * dt
+            if joint:
+                var_h = var_h + 2.0 * dt * cov + dt * dt * var
+                cov = cov + dt * var
+            else:
+                var = np.zeros(shape)
+            eta = dt / count
+            decay = 1.0 - sampler.lam * eta
+            for j in range(count):
+                vp = np.maximum(v, 0.0)
+                sq = np.sqrt(vp) * math.sqrt(eta)
+                dw1 = sq * row()
+                v = v + (sampler.a * eta - (sampler.b * eta) * vp + sampler.sigma * dw1)
+                var = var * (decay * decay) + (sampler.rho_c**2 * eta) * vp
+                cov = cov * decay
+                if joint or j < count - 1:
+                    y = y * decay + sampler.rho * dw1
+                else:
+                    sd = sampler.rho_c * sq if count == 1 else np.sqrt(var)
+                    y = y * decay + (sampler.rho * dw1 + sd * row())
+        if joint:
+            sd = np.sqrt(var)
+            coef = cov / sd
+            resid = np.sqrt(np.maximum(var_h - coef * coef, 0.0))
+            zeta1 = row()
+            y = y + sd * zeta1
+            iy = iy + (coef * zeta1 + resid * row())
+        expected.append((np.stack((np.maximum(v, 0.0), y), axis=-1).reshape(-1, 2),
+                         np.stack((iv, iy), axis=-1).reshape(-1, 2)))
+        i = node
+    rngs = [np.random.default_rng(b) for b in range(2)]
+    walked = [(x.copy(), a.copy()) for x, a in sampler.walk_integrals(x0, times, nodes, rngs)]
+    assert pos == rows and len(walked) == len(expected)
+    for (got_x, got_a), (want_x, want_a) in zip(walked, expected):
+        assert np.array_equal(got_x, want_x) and np.array_equal(got_a, want_a)
+
+
+def test_heston_walk_integrals_without_volatility_draw_no_w2_part():
+    """At a = 0 from v = 0 no noise enters: G = H = 0 and no NaN, so a long record
+    interval gives the bits of one-step intervals, which draw xi2 rows."""
+    sampler = make_heston_like(a=0.0, b=0.6, sigma=0.5, rho=-0.5, lam=1.0).sampler
+    x0, times = np.array([0.0, 0.4]), uniform_times(0.05, 0.005)
+    with np.errstate(invalid="raise", divide="raise"):
+        joint = [(x.copy(), a.copy()) for x, a in
+                 sampler.walk_integrals(x0, times, [4, 10], [np.random.default_rng(0)])]
+        rngs = [np.random.default_rng(1)]
+        steps = [(x.copy(), a.copy()) for x, a in sampler.walk_integrals(x0, times, range(1, 11), rngs)]
+    for (x, a), (x_ref, a_ref) in zip(joint, [steps[3], steps[9]]):
+        assert np.all(x[:, 0] == 0.0) and np.all(np.isfinite(a))
+        assert np.array_equal(x, x_ref) and np.array_equal(a, a_ref)
+
 def test_seed_sequence_root_spawns_its_block_streams(levy):
     root = np.random.SeedSequence(9).spawn(4)[3]
     stream = np.random.default_rng(np.random.SeedSequence(entropy=9, spawn_key=(3, 2)))

@@ -9,9 +9,9 @@ import pytest
 
 from affineflow import flow, models, movingframe
 from affineflow.core import Dims, Tolerances
-from affineflow.empirical import semihomogeneity_test
+from affineflow.empirical import _semihomogeneity, ecf_from_states, semihomogeneity_test
 from affineflow.flow import ClosedFlowSource, FlowEvaluation, OdeFlowSource, matrix_exp
-from affineflow.models import sample_grid, uniform_times
+from affineflow.models import make_heston_like, sample_grid, uniform_times
 from affineflow.movingframe import (
     FrameMatrix,
     FramePipelineError,
@@ -388,6 +388,9 @@ def test_frame_tiles_never_change_a_row(heston1, levy, monkeypatch):
 
     Heston's frame is diagonal; levy's non-diagonal frame runs the Gaussian
     ``walk`` and an ``@ K`` product that rounds each entry more than once.
+    Every node of the fine grid is a record node, so Heston's intervals are
+    one step each and draw as ``walk`` does; levy's integral steps every
+    node whatever the record times, so its coarse records are columns too.
     """
     monkeypatch.setattr(models, "BLOCK_PATHS", 2)
     monkeypatch.setattr(models, "CHUNK_PATHS", 6)
@@ -396,9 +399,11 @@ def test_frame_tiles_never_change_a_row(heston1, levy, monkeypatch):
     idx = np.searchsorted(fine, record)
     for model, frame, x0 in ((heston1, build_frame(heston1.beta, heston1.dims), [0.3, 0.5]),
                              (levy, build_frame([[-0.5, 0.2], [0.1, -0.3]], levy.dims), [0.1, 0.2])):
-        got = transformed_state_source(model, frame, internal_dt=0.05)(x0, record, 10, seed=6)
+        src = transformed_state_source(model, frame, internal_dt=0.05)
         whole = transform_values(sample_grid(model, x0, fine, 10, seed=6), fine, frame)
-        assert np.array_equal(got, whole[:, idx]), model.name
+        assert np.array_equal(src(x0, fine, 10, seed=6), whole), model.name
+        if model is levy:
+            assert np.array_equal(src(x0, record, 10, seed=6), whole[:, idx])
 
 
 def test_frame_sampler_matches_record_times_to_the_nearest_node(heston1):
@@ -406,10 +411,42 @@ def test_frame_sampler_matches_record_times_to_the_nearest_node(heston1):
     assert 5 * 3e-4 < 0.0015
     frame = build_frame(heston1.beta, heston1.dims)
     src = transformed_state_source(heston1, frame, internal_dt=3e-4)
-    record = np.array([0.0, 0.0015, 0.003])
-    got = src([0.3, 0.5], record, 4, seed=2)
     fine = uniform_times(0.003, 3e-4)
-    assert np.array_equal(got, src([0.3, 0.5], fine, 4, seed=2)[:, [0, 5, 10]])
+    got = src([0.3, 0.5], np.array([0.0, 0.0015, 0.003]), 4, seed=2)
+    assert np.array_equal(got, src([0.3, 0.5], fine[[0, 5, 10]], 4, seed=2))
+
+
+class _FineRoute(models._Sampler):
+    """A sampler's ``walk`` integrated by the default left-rule loop over every node."""
+
+    def __init__(self, base):
+        self.base = base
+
+    def walk(self, x0, times, rngs):
+        return self.base.walk(x0, times, rngs)
+
+
+def test_frame_sampler_keeps_the_law_of_the_fine_grid_route():
+    """Coarse records draw (G, H) at their nodes and keep the law of the fine-grid route.
+
+    The fine-grid route integrates ``walk`` on every internal node, each node
+    a one-step interval with its own xi2 row.  Record intervals of 20 and 30
+    steps at lam = 3 and rho = 0 give G and H a large share of z_y = y + 3
+    int y; two independent 20,000-path sets agree in the ECF at three u
+    within 4 two-sample standard errors.  Drawing H without its
+    covariance term, or without zeta2, fails.
+    """
+    model = make_heston_like(a=0.4, b=0.6, sigma=0.5, rho=0.0, lam=3.0, euler_dt=0.02)
+    frame = build_frame(model.beta, model.dims)
+    coarse = transformed_state_source(model, frame, internal_dt=0.02)
+    fine = transformed_state_source(dataclasses.replace(model, sampler=_FineRoute(model.sampler)),
+                                    frame, internal_dt=0.02)
+    x0, record, n = np.array([0.3, 0.0]), np.array([0.0, 0.4, 1.0]), 20_000
+    got, want = coarse(x0, record, n, seed=1), fine(x0, record, n, seed=2)
+    for k in (1, 2):
+        for u in (np.array([0.5j, 1j]), np.array([0.5j, 2j]), np.array([-0.5j, 3j])):
+            a, b = ecf_from_states(got[:, k], u), ecf_from_states(want[:, k], u)
+            assert abs(a.value - b.value) < 4.0 * math.hypot(a.stderr, b.stderr), (k, u)
 
 
 def test_frame_sampler_peak_memory_is_a_small_share_of_one_fine_block(heston1):
@@ -441,6 +478,36 @@ def test_transformed_state_source_validation(heston0):
         src([0.3, 0.0], np.array([0.1, 0.3]), 4, seed=1)
     with pytest.raises(ValueError, match="positive"):
         transformed_state_source(heston0, frame, internal_dt=0.0)
+
+
+def test_frame_stages_5_and_6_are_calibrated(heston1):
+    """Over fixed seeds, the frame's stage-5 and stage-6 z have mean z^2 in [0.6, 1.5].
+
+    Rule: z is |complex gap| over the stderr of a complex mean, so E z^2 = 1
+    when the stderr measures the sampling noise and no bias sits below it.
+    Each seed scores what ``frame_pipeline`` scores, without its p/q
+    recursion: ``_semihomogeneity`` on the transformed source from
+    x0 = (0.3, 0) at one u draws the x0 and x0 + e2 sets (stage 6's z), and
+    the x0 set's ECF is scored against the generator ODE's p exp(<q, x0>),
+    solved once (stage 5's z).  Heston lam = 1 at t = 0.05, 512 paths (one
+    block), K = 200 seeds: each mean has a standard deviation of about 0.1,
+    so the band holds a calibrated stage and fails a stderr off by sqrt(2)
+    either way.  The seeds are fixed, so the test is deterministic.
+    """
+    dims, t, k_seeds, n = heston1.dims, 0.05, 200, models.BLOCK_PATHS
+    x0, u = np.array([0.3, 0.0]), np.array([0.4j, 0.5j])
+    frame = build_frame(heston1.beta, heston1.dims)
+    source = transformed_state_source(heston1, frame)
+    p, q = _pq_endpoint(heston1.gen, frame, t, u[None], Tolerances())
+    predicted = p[0] * np.exp(q[0] @ x0)
+    z2 = {"stage 5": [], "stage 6": []}
+    for seed in range(k_seeds):
+        report, z_end = _semihomogeneity(source, dims, t, u, n, seed, 3.0, base=x0)
+        est = ecf_from_states(z_end, u, t)
+        z2["stage 5"].append((abs(est.value - predicted) / est.stderr) ** 2)
+        z2["stage 6"].append(report.max_violation ** 2)
+    means = {stage: float(np.mean(values)) for stage, values in z2.items()}
+    assert all(0.6 <= mean <= 1.5 for mean in means.values()), means
 
 
 def test_frame_pipeline_certifies_mean_reverting_model(heston1):
