@@ -182,7 +182,7 @@ def _positive_times(cfg: RunConfig) -> list[float]:
 def cmd_flow(cfg: RunConfig, json_out: bool = False) -> int:
     """Tabulate the transform pair over the configured (t, u) grids."""
     model = cfg.build_model()
-    if model.gen is None and model.closed_flow is None:
+    if model.gen is None:
         raise ConfigError(f"model {cfg.model_name!r} carries no transform flow",
                           path=cfg.source_path)
     dims = model.dims
@@ -314,7 +314,7 @@ def _chk_factorization(cfg, model, source, seed):
 
 
 def _chk_recover(cfg, model, source, seed):
-    if model.gen is None and model.closed_flow is None:
+    if model.gen is None:
         return CheckReport("recover", "no reference flow (vacuous)", 0.0,
                            cfg.thresholds.stat_sigma, [])
     dims = model.dims
@@ -394,7 +394,7 @@ def cmd_verify(cfg: RunConfig, checks=None, json_out: bool = False) -> int:
                           f"known: {', '.join(CHECK_NAMES)}")
     model = cfg.build_model()
     base_seed = cfg.require_seed("verify")
-    if model.gen is not None or model.closed_flow is not None:
+    if model.gen is not None:
         source = flow_source_for(model, cfg.thresholds.tolerances())
     else:
         source = None
@@ -441,7 +441,7 @@ def cmd_verify(cfg: RunConfig, checks=None, json_out: bool = False) -> int:
 def cmd_frame(cfg: RunConfig, json_out: bool = False) -> int:
     """Run the moving-frame pipeline; write the report and transformed paths."""
     model = cfg.build_model()
-    if model.gen is None and model.closed_flow is None:
+    if model.gen is None:
         raise ConfigError(f"model {cfg.model_name!r} carries no transform flow",
                           path=cfg.source_path)
     base_seed = cfg.require_seed("frame")

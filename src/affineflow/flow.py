@@ -320,9 +320,6 @@ class FlowGrid:
     evals: list
     errors: list = field(default_factory=list)
 
-    def column(self, j: int) -> list:
-        return [row[j] for row in self.evals]
-
 
 def flow_on_grid(gen, dims: Dims, t_grid, u_grid, tol: Tolerances = Tolerances()) -> FlowGrid:
     """Evaluate the flow on a product grid in one integration over all u columns.

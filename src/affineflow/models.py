@@ -15,9 +15,10 @@ interval of ``times``, valid until the next one is drawn; its
 ``sample_chunk`` stores those states.  The frame sampler of ``movingframe``
 reads ``walk_integrals(x0, times, nodes, rngs)``, the state and its left-rule
 integral at the given nodes only: by default the running sum over ``walk``.
-The Heston sampler draws one W2 normal per record interval, and over an
-interval of several nodes two normals for the W2 parts of the state and of
-its integral, which given v's path keeps the Euler law.
+The Heston sampler draws W2 by one rule: given v's path, y's W2 part over a
+record interval is one Gaussian, drawn from one normal at the interval's end,
+and over an interval of several nodes a second normal draws its integral's
+W2 part, which keeps the Euler law.
 """
 
 from __future__ import annotations
@@ -100,9 +101,10 @@ class AffineModel:
 # drawn from ``rngs[b]`` alone.  Changing it changes every seeded draw.
 BLOCK_PATHS = 512
 
-# Rows of Heston noise drawn per block and call (an xi1 row per substep, an
-# xi2 row or two zeta rows per record interval): it bounds the noise window
-# and changes no value, since each block reads its stream in order.
+# Rows of Heston noise drawn per block and call (an xi1 row per substep, a
+# zeta1 row per record interval and a zeta2 row per interval of several
+# nodes): it bounds the noise window and changes no value, since each block
+# reads its stream in order.
 _NOISE_ROWS = 32
 
 
@@ -268,14 +270,15 @@ class HestonEulerSampler(_Sampler):
     def walk_integrals(self, x0, times, nodes, rngs):
         """Yield ``(max(v, 0), y)`` and its left-rule integral over ``times`` at each of ``nodes``.
 
-        Each substep draws an ``xi1`` row.  A record interval (node to node)
-        of one step then draws an ``xi2`` row scaled by its W2 deviation given
-        v's path.  A longer one steps y and its integral without their W2
-        parts G and H, a bivariate Gaussian given v's path whose variances
-        ``var``, ``var_h`` and covariance ``cov`` accumulate as it steps;
-        after its ``xi1`` rows, rows zeta1 and zeta2 draw G = sqrt(var) zeta1
-        and H = cov / sqrt(var) zeta1 + sqrt(var_h - cov^2 / var) zeta2, both
-        0 where var is.  The yielded pair is two buffers rewritten per node.
+        Each substep draws an ``xi1`` row and steps y without its W2 part G
+        over the record interval (node to node), a Gaussian given v's path
+        whose variance ``var`` accumulates as it steps.  After the interval's
+        ``xi1`` rows a row zeta1 adds G = sqrt(var) zeta1 to y.  An interval
+        of several steps also steps y's integral without its W2 part H, whose
+        variance ``var_h`` and covariance ``cov`` with G accumulate too; a
+        row zeta2 then draws H = cov / sqrt(var) zeta1 + sqrt(var_h - cov^2 /
+        var) zeta2, 0 where var is.  The yielded pair is two buffers
+        rewritten per node.
         """
         nodes = [int(k) for k in nodes]
         if not nodes:
@@ -321,7 +324,7 @@ class HestonEulerSampler(_Sampler):
                 eta = dt / count
                 se = math.sqrt(eta)
                 a_eta, b_eta, decay = self.a * eta, self.b * eta, 1.0 - self.lam * eta
-                for j in range(count):
+                for _ in range(count):
                     np.sqrt(vp, out=sq)
                     sq *= se  # sqrt(v+ eta)
                     np.multiply(sq, next_row(), out=dw1)
@@ -330,31 +333,23 @@ class HestonEulerSampler(_Sampler):
                     np.subtract(a_eta, drift, out=drift)
                     drift += np.multiply(self.sigma, dw1, out=diffusion)
                     v += drift
-                    # y += rho dw1 after y *= 1 - lam eta, plus sd xi2 on a short interval's end
+                    # y += rho dw1 after y *= 1 - lam eta; var = var decay^2 + rho_c^2 eta v+
                     y *= decay
                     dw1 *= self.rho
-                    if joint or count > 1:  # var = var decay^2 + rho_c^2 eta v+
-                        var *= decay * decay
-                        var += np.multiply(self.rho_c**2 * eta, vp, out=diffusion)
+                    var *= decay * decay
+                    var += np.multiply(self.rho_c**2 * eta, vp, out=diffusion)
                     if joint:
                         cov *= decay
-                    elif j == count - 1:
-                        if count > 1:
-                            np.sqrt(var, out=sq)
-                        else:
-                            sq *= self.rho_c
-                        sq *= next_row()
-                        dw1 += sq
                     y += dw1
                     np.maximum(v, 0.0, out=vp)
             i = node
+            np.sqrt(var, out=sq)
+            zeta1 = next_row()  # read before zeta2 is drawn: a refill rewrites the window
+            y += np.multiply(sq, zeta1, out=drift)
             if joint:
-                np.sqrt(var, out=sq)
                 np.divide(cov, sq, out=cov, where=sq > 0.0)  # cov and var_h vanish with var
                 var_h -= np.multiply(cov, cov, out=drift)
                 np.sqrt(np.maximum(var_h, 0.0, out=var_h), out=var_h)
-                zeta1 = next_row()  # read before zeta2 is drawn: a refill rewrites the window
-                y += np.multiply(sq, zeta1, out=drift)
                 cov *= zeta1
                 var_h *= next_row()
                 iy += np.add(cov, var_h, out=drift)

@@ -26,6 +26,11 @@ def _gap(a: FlowEvaluation, b: FlowEvaluation) -> float:
     return max(abs(a.phi - b.phi), float(np.max(np.abs(a.psi - b.psi))))
 
 
+def _column(grid, j: int) -> list:
+    """The evaluations of u column j, in time order."""
+    return [row[j] for row in grid.evals]
+
+
 def test_t0_contract_is_exact(cir):
     ev = ode_flow(cir.gen, cir.dims, 0.0, [-1.0 + 0.5j])
     assert ev.phi == 1 + 0j and ev.log_phi == 0j
@@ -181,7 +186,7 @@ def test_flow_on_grid_matches_pointwise(heston0):
 def test_flow_on_grid_cells_after_exit():
     gen = GeneratorPair(F=lambda u: 0j, R=lambda u: np.array([5.0 + 0j]))
     grid = flow_on_grid(gen, Dims(1, 0), [0.0, 0.05, 0.2, 0.5], [np.array([-0.5])])
-    col = grid.column(0)
+    col = _column(grid, 0)
     assert col[0].in_Q and col[0].phi == 1 + 0j
     assert col[1].in_Q and abs(col[1].psi[0] - (-0.25)) < 1e-8
     assert not col[2].in_Q and not col[3].in_Q
@@ -212,7 +217,7 @@ def test_flow_on_grid_hard_error_fails_the_call_naming_the_column():
         flow_on_grid(gen, Dims(1, 0), [0.0, 0.5, 1.0], us)
     grid = flow_on_grid(gen, Dims(1, 0), [0.0, 0.5, 1.0], us[:1])
     assert not grid.errors
-    good = grid.column(0)
+    good = _column(grid, 0)
     assert all(ev.in_Q for ev in good)
     assert abs(good[2].phi - np.exp(-1.0)) < 1e-9
 
@@ -349,12 +354,12 @@ def test_mixed_lane_batch_isolates_exits_and_fails_on_a_failed_lane():
     grid = flow_on_grid(gen, dims, times, us, _TIGHT)
     assert not grid.errors
     # the exiting lane answers in_Q=False from its exit on
-    assert [ev.in_Q for ev in grid.column(1)] == [True, True, True, False, False, False]
-    assert np.isnan(grid.column(1)[-1].phi.real)
+    assert [ev.in_Q for ev in _column(grid, 1)] == [True, True, True, False, False, False]
+    assert np.isnan(_column(grid, 1)[-1].phi.real)
     # every ordinary lane matches its own one-lane solve
     for j in (0, 2, 3):
         alone = flow_on_grid(gen, dims, times, [us[j]], _TIGHT)
-        for ev, ref in zip(grid.column(j), alone.column(0)):
+        for ev, ref in zip(_column(grid, j), _column(alone, 0)):
             assert ev.in_Q and _gap(ev, ref) < 1e-10
 
 
@@ -371,10 +376,10 @@ def test_step_underflow_fails_the_call_naming_the_lane_that_forces_it():
     grid = flow_on_grid(gen, dims, times, us, _TIGHT)
     for j in (0, 1):
         y0 = us[j][0].imag
-        for ev in grid.column(j):
+        for ev in _column(grid, j):
             assert ev.in_Q and abs(ev.psi[0] - 1j * y0 / (1 + y0 * ev.t)) < 1e-9
         alone = flow_on_grid(gen, dims, times, [us[j]], _TIGHT)
-        assert all(_gap(ev, ref) < 1e-10 for ev, ref in zip(grid.column(j), alone.column(0)))
+        assert all(_gap(ev, ref) < 1e-10 for ev, ref in zip(_column(grid, j), _column(alone, 0)))
 
 
 def test_step_budget_exhaustion_is_an_integration_error(cir, monkeypatch):

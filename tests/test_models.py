@@ -152,100 +152,31 @@ def test_increment_walks_equal_the_start_plus_a_cumsum(levy, control):
         assert np.array_equal(walked, expected), model.name
 
 
-def test_heston_walk_equals_the_plain_euler_formula(heston1):
-    """On one-substep intervals the buffered Heston substep gives the bits of the formula."""
-    sampler, x0 = heston1.sampler, np.array([0.02, 0.4])
-    # 21 one-substep intervals, 42 noise rows: they cross the noise window
-    times = np.cumsum(np.r_[0.0, np.tile([0.0005, 0.001, 0.0008], 7)])
-    dts, counts = sampler._substep_plan(times)
-    assert np.all(counts == 1)
-    streams = [np.random.default_rng(b) for b in range(2)]
-    noise = [rng.standard_normal((int(counts.sum()), 2, models.BLOCK_PATHS)) for rng in streams]
-    v = np.full((2, models.BLOCK_PATHS), x0[0])
-    y = np.full((2, models.BLOCK_PATHS), x0[1])
-    expected, pos = [], 0
-    for dt, count in zip(dts, counts):
-        eta = dt / count
-        for _ in range(count):
-            xi1 = np.stack([block[pos, 0] for block in noise])
-            xi2 = np.stack([block[pos, 1] for block in noise])
-            vp = np.maximum(v, 0.0)
-            sq = np.sqrt(vp) * math.sqrt(eta)
-            dw1 = sq * xi1
-            v = v + (sampler.a * eta - (sampler.b * eta) * vp + sampler.sigma * dw1)
-            y = y * (1.0 - sampler.lam * eta)
-            y = y + (sampler.rho * dw1 + sampler.rho_c * sq * xi2)
-            pos += 1
-        expected.append(np.stack((np.maximum(v, 0.0), y), axis=-1).reshape(-1, 2))
-    rngs = [np.random.default_rng(b) for b in range(2)]
-    walked = [x.copy() for x in sampler.walk(x0, times, rngs)]
-    assert len(walked) == len(expected)
-    for got, want in zip(walked, expected):
-        assert np.array_equal(got, want)
-
-
-def test_heston_walk_draws_one_w2_row_per_interval(heston1):
-    """On multi-substep intervals the walk gives the bits of the conditional-Gaussian formula.
-
-    Each substep reads an xi1 row; after an interval's xi1 rows comes one xi2
-    row, scaled by the square root of the W2 terms' variance given v's path.
-    """
-    sampler, x0 = heston1.sampler, np.array([0.02, 0.4])
-    times = np.array([0.0, 0.0025, 0.0035, 0.01, 0.05])  # 52 substeps, 56 rows
-    dts, counts = sampler._substep_plan(times)
-    assert list(counts) == [3, 1, 7, 40]
-    streams = [np.random.default_rng(b) for b in range(2)]
-    noise = [rng.standard_normal((int(counts.sum()) + len(dts), models.BLOCK_PATHS))
-             for rng in streams]
-    v = np.full((2, models.BLOCK_PATHS), x0[0])
-    y = np.full((2, models.BLOCK_PATHS), x0[1])
-    expected, pos = [], 0
-    for dt, count in zip(dts, counts):
-        eta = dt / count
-        decay = 1.0 - sampler.lam * eta
-        var = np.zeros_like(v)
-        for j in range(count):
-            xi1 = np.stack([block[pos] for block in noise])
-            vp = np.maximum(v, 0.0)
-            sq = np.sqrt(vp) * math.sqrt(eta)
-            dw1 = sq * xi1
-            v = v + (sampler.a * eta - (sampler.b * eta) * vp + sampler.sigma * dw1)
-            var = var * (decay * decay) + (sampler.rho_c**2 * eta) * vp
-            if j < count - 1:
-                y = y * decay + sampler.rho * dw1
-            else:
-                xi2 = np.stack([block[pos + 1] for block in noise])
-                sd = sampler.rho_c * sq if count == 1 else np.sqrt(var)
-                y = y * decay + (sampler.rho * dw1 + sd * xi2)
-                pos += 1
-            pos += 1
-        expected.append(np.stack((np.maximum(v, 0.0), y), axis=-1).reshape(-1, 2))
-    rngs = [np.random.default_rng(b) for b in range(2)]
-    walked = [x.copy() for x in sampler.walk(x0, times, rngs)]
-    assert pos == noise[0].shape[0] and len(walked) == len(expected)
-    for got, want in zip(walked, expected):
-        assert np.array_equal(got, want)
-
-
-@pytest.mark.parametrize("horizon, step, nodes", [
-    (0.03, 0.002, [4, 5, 9, 15]),  # two substeps per step; 30 xi1 rows, 37 rows in all
+@pytest.mark.parametrize("times, nodes, counts", [
+    # 21 one-substep intervals, 42 rows: they cross the noise window
+    (np.cumsum(np.r_[0.0, np.tile([0.0005, 0.001, 0.0008], 7)]), range(1, 22), [1] * 21),
+    # one-node intervals of several substeps: 52 substeps, 56 rows
+    (np.array([0.0, 0.0025, 0.0035, 0.01, 0.05]), range(1, 5), [3, 1, 7, 40]),
+    # two substeps per step; 30 xi1 rows, 37 rows in all
+    (uniform_times(0.03, 0.002), [4, 5, 9, 15], [2] * 15),
     # one substep per step; zeta1 is row 31, the window's last, and the refill
     # at zeta2 rewrites the whole window
-    (0.06, 0.001, [1, 13, 14, 27, 60]),
-])
-def test_heston_walk_integrals_draw_g_and_h_at_the_record_nodes(heston1, horizon, step, nodes):
-    """Record intervals of several steps give the bits of the joint (G, H) formula.
+    (uniform_times(0.06, 0.001), [1, 13, 14, 27, 60], [1] * 60),
+], ids=["one-substep", "one-node", "two-substeps", "window-edge"])
+def test_heston_walk_integrals_equal_the_plain_formula(heston1, times, nodes, counts):
+    """Every record interval gives the bits of one conditional-Gaussian formula.
 
-    Each substep reads an xi1 row.  An interval of one step then reads one
-    xi2 row, as ``walk`` does; a longer one steps y and its integral without
-    the interval's W2 parts G and H, and after its xi1 rows reads zeta1 and
-    zeta2.  The integral is the left rule over every step of ``times``.
+    Each substep reads an xi1 row and steps y without the interval's W2 part
+    G.  After the interval's xi1 rows, zeta1 adds G = sqrt(var) zeta1; an
+    interval of several steps also leaves the W2 part H out of y's integral
+    and reads zeta2 for it.  The integral is the left rule over every step
+    of ``times``.
     """
-    sampler, x0 = heston1.sampler, np.array([0.02, 0.4])
-    times = uniform_times(horizon, step)
-    dts, counts = sampler._substep_plan(times)
+    sampler, x0, nodes = heston1.sampler, np.array([0.02, 0.4]), list(nodes)
+    dts, plan = sampler._substep_plan(times)
+    assert list(plan) == counts
     spans = np.diff([0] + nodes)
-    rows = int(counts[:nodes[-1]].sum()) + int(np.sum(np.where(spans > 1, 2, 1)))
+    rows = sum(counts[:nodes[-1]]) + int(np.sum(np.where(spans > 1, 2, 1)))
     assert rows > 32  # the noise window refills within the walk
     streams = [np.random.default_rng(b) for b in range(2)]
     noise = [rng.standard_normal((rows, models.BLOCK_PATHS)) for rng in streams]
@@ -267,31 +198,23 @@ def test_heston_walk_integrals_draw_g_and_h_at_the_record_nodes(heston1, horizon
             dt, count = dts[k], counts[k]
             iv = iv + np.maximum(v, 0.0) * dt
             iy = iy + y * dt
-            if joint:
-                var_h = var_h + 2.0 * dt * cov + dt * dt * var
-                cov = cov + dt * var
-            else:
-                var = np.zeros(shape)
+            var_h = var_h + 2.0 * dt * cov + dt * dt * var
+            cov = cov + dt * var
             eta = dt / count
             decay = 1.0 - sampler.lam * eta
-            for j in range(count):
+            for _ in range(count):
                 vp = np.maximum(v, 0.0)
-                sq = np.sqrt(vp) * math.sqrt(eta)
-                dw1 = sq * row()
+                dw1 = np.sqrt(vp) * math.sqrt(eta) * row()
                 v = v + (sampler.a * eta - (sampler.b * eta) * vp + sampler.sigma * dw1)
+                y = y * decay + sampler.rho * dw1
                 var = var * (decay * decay) + (sampler.rho_c**2 * eta) * vp
                 cov = cov * decay
-                if joint or j < count - 1:
-                    y = y * decay + sampler.rho * dw1
-                else:
-                    sd = sampler.rho_c * sq if count == 1 else np.sqrt(var)
-                    y = y * decay + (sampler.rho * dw1 + sd * row())
+        sd = np.sqrt(var)
+        zeta1 = row()
+        y = y + sd * zeta1
         if joint:
-            sd = np.sqrt(var)
             coef = cov / sd
             resid = np.sqrt(np.maximum(var_h - coef * coef, 0.0))
-            zeta1 = row()
-            y = y + sd * zeta1
             iy = iy + (coef * zeta1 + resid * row())
         expected.append((np.stack((np.maximum(v, 0.0), y), axis=-1).reshape(-1, 2),
                          np.stack((iv, iy), axis=-1).reshape(-1, 2)))
@@ -305,7 +228,7 @@ def test_heston_walk_integrals_draw_g_and_h_at_the_record_nodes(heston1, horizon
 
 def test_heston_walk_integrals_without_volatility_draw_no_w2_part():
     """At a = 0 from v = 0 no noise enters: G = H = 0 and no NaN, so a long record
-    interval gives the bits of one-step intervals, which draw xi2 rows."""
+    interval gives the bits of one-step intervals, which draw no zeta2 row."""
     sampler = make_heston_like(a=0.0, b=0.6, sigma=0.5, rho=-0.5, lam=1.0).sampler
     x0, times = np.array([0.0, 0.4]), uniform_times(0.05, 0.005)
     with np.errstate(invalid="raise", divide="raise"):

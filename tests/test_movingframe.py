@@ -430,7 +430,7 @@ def test_frame_sampler_keeps_the_law_of_the_fine_grid_route():
     """Coarse records draw (G, H) at their nodes and keep the law of the fine-grid route.
 
     The fine-grid route integrates ``walk`` on every internal node, each node
-    a one-step interval with its own xi2 row.  Record intervals of 20 and 30
+    a one-step interval with its own zeta1 row.  Record intervals of 20 and 30
     steps at lam = 3 and rho = 0 give G and H a large share of z_y = y + 3
     int y; two independent 20,000-path sets agree in the ECF at three u
     within 4 two-sample standard errors.  Drawing H without its
